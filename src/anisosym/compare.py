@@ -181,6 +181,8 @@ def verify_mass_comparison(grid, nl, f_fn=None, f_stack=None, N=7, M=64,
         "eps": getattr(law, "eps", None), "tau": getattr(law, "tau", None),
         "u_residual": u_sol.residual_norm, "v_residual": v_sol.residual_norm,
         "u_iterations": u_sol.iterations, "v_iterations": v_sol.iterations,
+        "u_cg_iterations": u_sol.cg_iterations, "v_cg_iterations": v_sol.cg_iterations,
+        "u_fallbacks": u_sol.fallbacks, "v_fallbacks": v_sol.fallbacks,
         "ball_measure": ball.total_measure,
     }
     return ComparisonReport(

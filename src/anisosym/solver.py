@@ -15,7 +15,10 @@ The x-part uses the orientation-averaged one-sided gradient sampling from
 ``grids.cell_gradients`` (for n = 1 this is exactly P1 finite elements on
 the cell centers plus wall nodes; for n = 2 and p = 2 it reduces to the
 5-point scheme).  Minimization is by damped Newton with Armijo
-backtracking; the Hessian is block tridiagonal in the slice index.
+backtracking; the Hessian is block tridiagonal in the slice index.  Newton
+directions come from one sparse LU of the Hessian, or, on 2-D
+cross-sections, from CG preconditioned in the sine modes of the y-coupling
+(``_newton_direction``).
 
 Nonlinearities must carry two-sided slope bounds on beta (``smooth_eps``);
 degenerate laws are solved through their Moreau-Yosida regularization.
@@ -29,10 +32,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grids import SliceStack, gradient_functional
+from .grids import SliceStack, cell_gradients, gradient_functional
 from .nonlinearity import make_p_laplacian
 
 _ARMIJO = 1e-4
+_CG_MAXITER = 200                 # then the mode-preconditioned CG hands over to LU
 
 
 class SolverError(RuntimeError):
@@ -71,6 +75,8 @@ class DiscreteSolution:
     iterations: int
     energies: tuple
     converged: bool
+    cg_iterations: int             # preconditioned CG iterations over all linear solves
+    fallbacks: int                 # CG solves handed to LU, plus failed LUs
 
     def __post_init__(self):
         if self.energy > 1e-10:
@@ -91,31 +97,42 @@ def _y_coupling(N, h):
     return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h ** 2
 
 
-class _StackFunctional:
-    """Energy, gradient and Hessian of J on the stacked interior unknowns."""
+def _y_modes(N, h):
+    """Orthonormal DST-I matrix S and the eigenvalues of ``_y_coupling(N, h)``.
 
-    def __init__(self, grid, nl, f_rows, y_quad):
+    ``S`` is symmetric and its own inverse, and ``S Q S = diag(lam)``.  Dense
+    on purpose: N is small, and ``scipy.fft`` would add to the import time.
+    """
+    jk = np.outer(np.arange(1, N + 1), np.arange(1, N + 1))
+    S = np.sqrt(2.0 / (N + 1)) * np.sin(jk * np.pi / (N + 1))
+    lam = 4.0 * np.sin(np.arange(1, N + 1) * np.pi / (2 * (N + 1))) ** 2 / h ** 2
+    return S, lam
+
+
+class _StackFunctional:
+    """Energy, gradient and Hessian of J on the stacked interior unknowns.
+
+    ``h`` is the slice spacing, or None for the x-only problem.
+    """
+
+    def __init__(self, grid, nl, f_rows, h):
         self.grid = grid
         self.nl = nl
         self.f_rows = np.asarray(f_rows, dtype=float)
         self.k = self.f_rows.shape[0]
         self.m = grid.num_cells
         self.mc = grid.cell_measure
-        self.Q = y_quad                      # (k, k) sparse or None
+        self.h = h
+        self.Q = None if h is None else _y_coupling(self.k, h)
+        # The y-part of every Hessian: constant, so built once.
+        self.YQ = None if h is None else self.mc * sp.kron(self.Q, sp.eye(self.m), format="csc")
         self.weight = 1.0 / 2 ** grid.n
         self.stencils = grid.orientation_stencils()
 
-    # -- per-slice gradient sampling ------------------------------------
-    def _diffs(self, u):
-        """Per orientation: (d, mag) with d of shape (m, n)."""
-        out = []
-        for axes in self.stencils:
-            d = np.empty((self.m, self.grid.n))
-            for kk, (other, scale) in enumerate(axes):
-                uo = np.where(other >= 0, u[np.maximum(other, 0)], 0.0)
-                d[:, kk] = scale * (uo - u)
-            out.append((d, np.sqrt((d ** 2).sum(axis=1))))
-        return out
+    def _orientations(self, u):
+        """Per orientation: the stencil, d of shape (m, n) and |d|."""
+        d = cell_gradients(self.grid, u)
+        return zip(self.stencils, d, np.sqrt((d ** 2).sum(axis=-1)))
 
     def energy(self, z):
         val = 0.0
@@ -129,8 +146,7 @@ class _StackFunctional:
     def gradient(self, z):
         g = np.zeros_like(z)
         for j in range(self.k):
-            u = z[j]
-            for axes, (d, mag) in zip(self.stencils, self._diffs(u)):
+            for axes, d, mag in self._orientations(z[j]):
                 coef = self.weight * self.mc * self.nl.a(mag)
                 for kk, (other, scale) in enumerate(axes):
                     t = coef * d[:, kk] * scale
@@ -145,7 +161,7 @@ class _StackFunctional:
     def _slice_hessian(self, u):
         rows, cols, vals = [], [], []
         cells = np.arange(self.m)
-        for axes, (d, mag) in zip(self.stencils, self._diffs(u)):
+        for axes, d, mag in self._orientations(u):
             a = self.nl.a(mag)
             db = self.nl.dbeta(mag)
             safe = np.maximum(mag, 1e-300)
@@ -166,38 +182,88 @@ class _StackFunctional:
         rows = np.concatenate(rows)
         cols = np.concatenate(cols)
         vals = np.concatenate(vals)
-        return sp.coo_matrix((vals, (rows, cols)), shape=(self.m, self.m))
+        return sp.coo_matrix((vals, (rows, cols)), shape=(self.m, self.m)).tocsr()
 
     def hessian(self, z):
+        """The assembled CSC Hessian and its per-slice x-blocks."""
         blocks = [self._slice_hessian(z[j]) for j in range(self.k)]
         H = sp.block_diag(blocks, format="csc")
-        if self.Q is not None:
-            H = H + self.mc * sp.kron(self.Q, sp.eye(self.m), format="csc")
-        else:
-            # Keep strict positive definiteness for the pure x-problem.
-            H = H + 1e-300 * sp.eye(self.k * self.m, format="csc")
-        return H
+        if self.YQ is not None:
+            H = H + self.YQ
+        return H, blocks
 
     def dual_norm(self, g):
         """Max over slices of the mass-preconditioned l2 residual norm."""
         return float(np.max(np.sqrt(np.sum(g ** 2, axis=1) / self.mc)))
 
 
-def _minimize(func, z0, tol, max_iter):
+def _mode_pcg(func, H, blocks, rhs, counters):
+    """Solve H d = rhs by CG preconditioned in the DST-I modes of the y-coupling.
+
+    The preconditioner replaces every slice block by their mean A; in the
+    sine basis of y it is then block diagonal, one sparse m x m matrix
+    ``A + mc*lam_i*I`` per mode, and exact when all blocks agree (p = 2).
+    Returns None when CG does not converge within ``_CG_MAXITER``.
+    """
+    k, m = func.k, func.m
+    S, lam = _y_modes(k, func.h)
+    A = sum(blocks[1:], blocks[0]) / k
+    eye = sp.eye(m, format="csr")
+    lus = [spla.splu((A + (func.mc * li) * eye).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+           for li in lam]
+
+    def precondition(r):
+        R = S @ r.reshape(k, m)
+        for i, lu in enumerate(lus):
+            R[i] = lu.solve(R[i])
+        return (S @ R).ravel()
+
+    def count(_):
+        counters["cg_iterations"] += 1
+
+    M = spla.LinearOperator(H.shape, matvec=precondition, dtype=float)
+    d, info = spla.cg(H, rhs, rtol=1e-12, atol=0.0, maxiter=_CG_MAXITER, M=M,
+                      callback=count)
+    return d if info == 0 else None
+
+
+def _newton_direction(func, z, g, counters):
+    """The Newton direction d with H(z) d = -g, or None if the LU fails.
+
+    2-D stacks (n = 2 with a y-coupling) use mode-preconditioned CG: one
+    LU of the whole Hessian there has 3-D-like fill.  Everything else, and
+    a CG solve that does not converge, uses one sparse LU of the Hessian.
+    ``counters`` gains the CG iterations and one fallback per CG-to-LU
+    switch and per failed LU.
+    """
+    H, blocks = func.hessian(z)
+    rhs = -g.ravel()
+    if func.Q is not None and func.grid.n == 2:
+        d = _mode_pcg(func, H, blocks, rhs, counters)
+        if d is not None:
+            return d
+        counters["fallbacks"] += 1
+    try:
+        return spla.splu(H).solve(rhs)
+    except RuntimeError:
+        counters["fallbacks"] += 1
+        return None
+
+
+def _minimize(func, z0, tol, max_iter, counters):
     """Damped Newton with Armijo backtracking; returns (z, info)."""
     z = z0.copy()
     J = func.energy(z)
     energies = [J]
-    res = func.dual_norm(func.gradient(z))
+    g = func.gradient(z)
+    res = func.dual_norm(g)
     iterations = 0
     converged = res <= tol
     while not converged and iterations < max_iter:
-        g = func.gradient(z)
-        H = func.hessian(z)
         gflat = g.ravel()
-        try:
-            d = spla.splu(H.tocsc()).solve(-gflat)
-        except RuntimeError:
+        d = _newton_direction(func, z, g, counters)
+        if d is None:
             d = -gflat / func.mc
         slope = float(d @ gflat)
         # Relative descent test: genuine loss of definiteness sends the
@@ -213,9 +279,10 @@ def _minimize(func, z0, tol, max_iter):
             # Newton step if it reduces the residual, else we are at the
             # achievable floor.
             z_try = z + d.reshape(z.shape)
-            res_try = func.dual_norm(func.gradient(z_try))
+            g_try = func.gradient(z_try)
+            res_try = func.dual_norm(g_try)
             if res_try < res:
-                z = z_try
+                z, g = z_try, g_try
                 J = func.energy(z)
                 energies.append(J)
                 iterations += 1
@@ -235,7 +302,8 @@ def _minimize(func, z0, tol, max_iter):
         z, J = z_try, J_try
         energies.append(J)
         iterations += 1
-        res = func.dual_norm(func.gradient(z))
+        g = func.gradient(z)
+        res = func.dual_norm(g)
         converged = res <= tol
     if not converged:
         raise SolverError(
@@ -245,9 +313,8 @@ def _minimize(func, z0, tol, max_iter):
         # One polishing step: quadratic convergence typically lands the
         # residual near machine precision, which the positivity and
         # comparison properties rely on.
-        g = func.gradient(z)
-        try:
-            d = spla.splu(func.hessian(z).tocsc()).solve(-g.ravel())
+        d = _newton_direction(func, z, g, counters)
+        if d is not None:
             z_try = z + d.reshape(z.shape)
             res_try = func.dual_norm(func.gradient(z_try))
             if res_try < res:
@@ -255,65 +322,63 @@ def _minimize(func, z0, tol, max_iter):
                 J = func.energy(z)
                 energies.append(J)
                 iterations += 1
-        except RuntimeError:
-            pass
     return z, {"energy": J, "residual": res, "iterations": iterations,
                "energies": tuple(energies), "converged": True}
 
 
-def _warm_start(func):
+def _warm_start(func, counters):
     """Initial iterate from the quadratic-law (p = 2) problem.
 
-    A single factorization; used whenever it lowers the true energy below
+    A single linear solve; used whenever it lowers the true energy below
     the zero stack's.
     """
-    quad = _StackFunctional(func.grid, make_p_laplacian(2), func.f_rows, func.Q)
-    g0 = quad.gradient(np.zeros((func.k, func.m)))
-    H0 = quad.hessian(np.zeros((func.k, func.m)))
-    try:
-        z = spla.splu(H0.tocsc()).solve(-g0.ravel()).reshape(func.k, func.m)
-    except RuntimeError:
-        return np.zeros((func.k, func.m))
-    return z if func.energy(z) < 0.0 else np.zeros((func.k, func.m))
+    quad = _StackFunctional(func.grid, make_p_laplacian(2), func.f_rows, func.h)
+    zero = np.zeros((func.k, func.m))
+    d = _newton_direction(quad, zero, quad.gradient(zero), counters)
+    if d is None:
+        return zero
+    z = d.reshape(func.k, func.m)
+    return z if func.energy(z) < 0.0 else zero
 
 
 def stack_energy(prob, stack):
     """The discrete energy J of a stack for the given problem."""
     if stack.grid is not prob.grid or stack.num_interior != prob.num_interior:
         raise ValueError("stack does not match the problem discretization")
-    func = _StackFunctional(prob.grid, prob.nl, prob.f.interior,
-                            _y_coupling(prob.num_interior, prob.h))
+    func = _StackFunctional(prob.grid, prob.nl, prob.f.interior, prob.h)
     return func.energy(stack.interior)
 
 
 def residual_norm(prob, stack):
     """Dual norm of the discrete weak-form residual at the given stack."""
-    func = _StackFunctional(prob.grid, prob.nl, prob.f.interior,
-                            _y_coupling(prob.num_interior, prob.h))
+    func = _StackFunctional(prob.grid, prob.nl, prob.f.interior, prob.h)
     return func.dual_norm(func.gradient(stack.interior))
 
 
 def solve_stack(prob, tol=1e-9, max_iter=500, z0=None):
     """Minimize J; the returned stack is nonnegative up to solver precision."""
     _require_smooth(prob.nl)
-    func = _StackFunctional(prob.grid, prob.nl, prob.f.interior,
-                            _y_coupling(prob.num_interior, prob.h))
+    func = _StackFunctional(prob.grid, prob.nl, prob.f.interior, prob.h)
+    counters = {"cg_iterations": 0, "fallbacks": 0}
     if z0 is None:
-        z0 = _warm_start(func)
-    z, info = _minimize(func, z0, tol, max_iter)
+        z0 = _warm_start(func, counters)
+    z, info = _minimize(func, z0, tol, max_iter, counters)
     vals = np.zeros((prob.num_interior + 2, prob.grid.num_cells))
     vals[1:-1] = z
     return DiscreteSolution(prob, SliceStack(prob.grid, vals), info["energy"],
                             info["residual"], info["iterations"],
-                            info["energies"], info["converged"])
+                            info["energies"], info["converged"],
+                            counters["cg_iterations"], counters["fallbacks"])
 
 
 def solve_cross_section(grid, nl, f_values, tol=1e-9, max_iter=500):
     """Single Dirichlet solve in x only: -div(a(|grad u|) grad u) = f."""
     _require_smooth(nl)
     func = _StackFunctional(grid, nl, np.asarray(f_values, dtype=float)[None, :], None)
-    z0 = _warm_start(func)
-    z, info = _minimize(func, z0, tol, max_iter)
+    counters = {"cg_iterations": 0, "fallbacks": 0}
+    z0 = _warm_start(func, counters)
+    z, info = _minimize(func, z0, tol, max_iter, counters)
+    info.update(counters)
     return z[0], info
 
 

@@ -77,6 +77,9 @@ def test_report_csv_and_json(tmp_path):
     payload = rep.to_dict()
     assert payload["passed"] is True
     assert "slack_budget" in payload and "timings" in payload
+    # Interval stacks solve by LU: no CG iterations, and no fallback taken.
+    for key in ("u_cg_iterations", "v_cg_iterations", "u_fallbacks", "v_fallbacks"):
+        assert payload["meta"][key] == 0
 
 
 def test_epsilon_tau_sweep_monotone_energy_and_cauchy():

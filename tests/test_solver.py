@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from anisosym import (DiscreteProblem, make_ball_grid, make_disk_grid,
                       make_interval_grid, make_p_laplacian, moreau_yosida,
@@ -7,6 +8,7 @@ from anisosym import (DiscreteProblem, make_ball_grid, make_disk_grid,
                       solve_stack, solve_symmetrized, solve_tau_extrapolated,
                       stack_energy, steiner_rearrangement, y_interpolant,
                       zero_stack)
+from anisosym import solver
 from anisosym.grids import SliceStack
 
 
@@ -271,3 +273,90 @@ def test_solution_energy_not_above_zero_stack():
     f.values[1:-1] = rng.uniform(0, 2, (3, 16))
     sol = solve_stack(DiscreteProblem(g, make_p_laplacian(2), f))
     assert sol.energy <= 0.0
+
+
+def disk_problem(p, N=5):
+    g = make_disk_grid(1.0, 16)
+    nl = make_p_laplacian(2) if p == 2 else moreau_yosida(make_p_laplacian(p), 1e-6, 1e-6)
+    f = sample_slices(g, N, lambda c, y: np.exp(-6 * ((c[:, 0] - 0.3) ** 2 + c[:, 1] ** 2))
+                      * (1 + 0.5 * np.sin(np.pi * y)))
+    return DiscreteProblem(g, nl, f)
+
+
+def new_counters():
+    return {"cg_iterations": 0, "fallbacks": 0}
+
+
+@pytest.mark.parametrize("p", [1.5, 3])
+def test_mode_pcg_direction_matches_lu(p):
+    prob = disk_problem(p)
+    func = solver._StackFunctional(prob.grid, prob.nl, prob.f.interior, prob.h)
+    z = solver._warm_start(func, new_counters())
+    g = func.gradient(z)
+    counters = new_counters()
+    d = solver._newton_direction(func, z, g, counters)
+    H, _ = func.hessian(z)
+    ref = spla.splu(H).solve(-g.ravel())
+    assert counters["cg_iterations"] > 0 and counters["fallbacks"] == 0
+    assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_mode_preconditioner_exact_for_quadratic_law():
+    # At p = 2 every slice block equals their mean, so the preconditioner is
+    # the inverse Hessian and CG stops after one step (two with rounding).
+    prob = disk_problem(2)
+    func = solver._StackFunctional(prob.grid, prob.nl, prob.f.interior, prob.h)
+    z = np.random.default_rng(5).uniform(0.0, 0.1, (func.k, func.m))
+    counters = new_counters()
+    solver._newton_direction(func, z, func.gradient(z), counters)
+    assert 1 <= counters["cg_iterations"] <= 2
+
+
+def test_one_dimensional_stacks_never_call_cg(monkeypatch):
+    def no_cg(*args, **kwargs):
+        raise AssertionError("CG called on a 1-D stack or an x-only problem")
+
+    monkeypatch.setattr(spla, "cg", no_cg)
+    g = make_interval_grid(1.0, 32)
+    f = sample_slices(g, 4, lambda c, y: np.exp(-20 * (c[:, 0] - 0.4) ** 2))
+    sol = solve_stack(DiscreteProblem(g, moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6), f))
+    assert sol.cg_iterations == 0 and sol.fallbacks == 0
+    disk = make_disk_grid(1.0, 12)
+    _, info = solve_cross_section(disk, make_p_laplacian(2), np.ones(disk.num_cells))
+    assert info["cg_iterations"] == 0
+
+
+def test_cg_nonconvergence_counted_and_lu_gives_same_stack(monkeypatch):
+    prob = disk_problem(3, N=3)
+    ref = solve_stack(prob)
+    assert ref.cg_iterations > 0 and ref.fallbacks == 0
+
+    def stalled_cg(A, b, **kwargs):
+        return np.zeros_like(b), 1
+
+    monkeypatch.setattr(spla, "cg", stalled_cg)
+    sol = solve_stack(prob)
+    # Every linear solve (warm start and each Newton step) hands over to LU.
+    assert sol.fallbacks >= sol.iterations + 1
+    assert sol.cg_iterations == 0
+    assert np.max(np.abs(sol.stack.values - ref.stack.values)) <= 1e-12
+
+
+def test_failed_lu_is_counted(monkeypatch):
+    g = make_interval_grid(1.0, 24)
+    f = sample_slices(g, 3, lambda c, y: np.exp(-20 * (c[:, 0] - 0.4) ** 2))
+    prob = DiscreteProblem(g, moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6), f)
+    ref = solve_stack(prob)
+    real_splu = spla.splu
+    calls = []
+
+    def splu_failing_once(A, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu_failing_once)
+    sol = solve_stack(prob)          # the warm start's LU fails: zero start
+    assert sol.fallbacks == 1
+    assert np.max(np.abs(sol.stack.values - ref.stack.values)) <= 1e-9
