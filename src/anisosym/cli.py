@@ -20,8 +20,8 @@ import scipy
 
 from . import __version__
 from .compare import (ComparisonError, PipelineError, epsilon_tau_sweep,
-                      h_refinement_study, verify_lq_consequence,
-                      verify_mass_comparison)
+                      h_refinement_study, pipeline_subsolution_slack,
+                      verify_lq_consequence, verify_mass_comparison)
 from .config import ConfigError, parse_config
 from .grids import make_radial_grid, sample_slices
 from .mass_ode import MassOperator, t_accretivity_check
@@ -102,10 +102,8 @@ def _cmd_solve(cfg, args, out_dir, manifest):
 def _cmd_star_check(cfg, args, out_dir, manifest, seed):
     grid = cfg.build_grid()
     nl = _law_for(cfg, cfg.build_nonlinearity())
-    grading = cfg["sgrid.grading"]
-    if grading == "auto":
-        grading = "uniform" if grid.n == 1 else "sqrt"
-    s_grid = make_radial_grid(grid.n, grid.total_measure, cfg["sgrid.M"], grading)
+    s_grid = make_radial_grid(grid.n, grid.total_measure, cfg["sgrid.M"],
+                              cfg["sgrid.grading"])
     op = MassOperator(s_grid, nl)
     t0 = time.perf_counter()
     rep = t_accretivity_check(op, trials=cfg["trials"], lambdas=cfg["lambdas"],
@@ -120,12 +118,7 @@ def _cmd_star_check(cfg, args, out_dir, manifest, seed):
     f = sample_slices(grid, cfg["slices.N"], cfg.data_function())
     sol = solve_stack(DiscreteProblem(grid, nl, f), tol=cfg["tol"],
                       max_iter=cfg["max_iter"])
-    from .mass_ode import mass_functions_from_stack, subsolution_slack
-    from .rearrange import ScalarField, decreasing_rearrangement, mass_function
-    U = mass_functions_from_stack(sol.stack, s_grid)
-    F = [mass_function(decreasing_rearrangement(ScalarField(grid, f.values[j]), s_grid))
-         for j in range(1, cfg["slices.N"] + 1)]
-    slack = subsolution_slack(U, F, op, f.h)
+    slack = pipeline_subsolution_slack(sol.stack, f, nl, s_grid)
     manifest.wall_clock["subsolution"] = time.perf_counter() - t0
     sub_path = os.path.join(out_dir, "subsolution.csv")
     with open(sub_path, "w") as fh:
@@ -140,10 +133,9 @@ def _cmd_star_check(cfg, args, out_dir, manifest, seed):
 def _cmd_compare(cfg, args, out_dir, manifest):
     grid = cfg.build_grid()
     nl = cfg.build_nonlinearity()
-    grading = cfg["sgrid.grading"]
     rep = verify_mass_comparison(
         grid, nl, f_fn=cfg.data_function(), N=cfg["slices.N"], M=cfg["sgrid.M"],
-        grading=None if grading == "auto" else grading,
+        grading=cfg["sgrid.grading"],
         eps=cfg["regularization.eps"], tau=cfg["regularization.tau"],
         slack_c=cfg["slack_c"], tol=cfg["tol"], radial_tol=cfg["radial_tol"],
         mollify=cfg["f.mollify"])
@@ -249,7 +241,6 @@ def main(argv=None):
     os.makedirs(out_dir, exist_ok=True)
     manifest = _manifest(cfg, args, args.command)
     seed = manifest.seed
-    np.random.seed(seed % 2 ** 32)  # library code uses explicit Generators; belt and braces
 
     try:
         t0 = time.perf_counter()

@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import make_radial_grid, sample_slices, symmetrized_grid, SliceStack
+from .grids import (_resolve_grading, make_radial_grid, sample_slices,
+                    symmetrized_grid, SliceStack)
 from .mass_ode import MassOperator, MassSystem, mass_functions_from_stack, \
     solve_mass_system, subsolution_slack
 from .nonlinearity import moreau_yosida
-from .rearrange import (ScalarField, decreasing_rearrangement, mass_function,
-                        steiner_rearrangement)
+from .rearrange import steiner_rearrangement
 from .solver import DiscreteProblem, solve_stack, solve_symmetrized, y_interpolant
 
 
@@ -103,7 +103,7 @@ class ComparisonReport:
 
 
 def verify_mass_comparison(grid, nl, f_fn=None, f_stack=None, N=7, M=64,
-                           grading=None, eps=1e-6, tau=1e-6, slack_c=10.0,
+                           grading="auto", eps=1e-6, tau=1e-6, slack_c=10.0,
                            tol=1e-9, radial_tol=1e-8, always_regularize=False,
                            mollify=0.0, ode_tol=1e-9):
     """Run the full comparison pipeline and certify the mass ordering.
@@ -146,25 +146,19 @@ def verify_mass_comparison(grid, nl, f_fn=None, f_stack=None, N=7, M=64,
                    lambda: solve_symmetrized(DiscreteProblem(ball, law, f_star),
                                              tol, radial_tol=radial_tol), timings)
 
-    grade = grading or ("uniform" if grid.n == 1 else "sqrt")
+    grade = _resolve_grading(grid.n, grading)
     s_grid = make_radial_grid(grid.n, grid.total_measure, M, grade)
 
     def build_masses():
-        U = mass_functions_from_stack(u_sol.stack, s_grid)
-        V = mass_functions_from_stack(v_sol.stack, s_grid)
-        return U, V
+        return [mass_functions_from_stack(st, s_grid) for st in (u_sol.stack, v_sol.stack, f)]
 
-    U_list, V_list = _stage("mass", build_masses, timings)
+    U_list, V_list, F_list = _stage("mass", build_masses, timings)
 
     def solve_ode():
-        op = MassOperator(s_grid, law)
-        F = [mass_function(decreasing_rearrangement(
-            ScalarField(grid, f.values[j]), s_grid)) for j in range(1, N + 1)]
-        V_ode = solve_mass_system(MassSystem(op, h, F), tol=ode_tol,
-                                  init=[V_list[j] for j in range(1, N + 1)])
-        return op, F, V_ode
+        system = MassSystem(MassOperator(s_grid, law), h, F_list[1:-1])
+        return solve_mass_system(system, tol=ode_tol, init=V_list[1:-1])
 
-    op, F_masses, V_ode = _stage("ode", solve_ode, timings)
+    V_ode = _stage("ode", solve_ode, timings)
 
     Uarr = np.stack([U_list[j].values[1:] for j in range(1, N + 1)])
     Varr = np.stack([V_list[j].values[1:] for j in range(1, N + 1)])
@@ -354,11 +348,8 @@ def h_refinement_study(grid, nl, f_fn, N_list, M=64, slack_c=10.0, tol=1e-9,
     return SweepReport("h", points, checks, reports=[rep for _, rep in results])
 
 
-def pipeline_subsolution_slack(report, grid, law, f_stack, s_grid):
-    """Slack of the subsolution inequalities for a finished pipeline run."""
-    op = MassOperator(s_grid, law)
-    U = mass_functions_from_stack(report.u_stack, s_grid)
-    F = [mass_function(decreasing_rearrangement(
-        ScalarField(grid, f_stack.values[j]), s_grid))
-        for j in range(1, f_stack.num_interior + 1)]
-    return subsolution_slack(U, F, op, f_stack.h)
+def pipeline_subsolution_slack(u_stack, f_stack, law, s_grid):
+    """Slack of the subsolution inequalities for a solved stack and its data."""
+    return subsolution_slack(mass_functions_from_stack(u_stack, s_grid),
+                             mass_functions_from_stack(f_stack, s_grid)[1:-1],
+                             MassOperator(s_grid, law), f_stack.h)

@@ -100,14 +100,6 @@ def compile_expression(text):
     return fn
 
 
-def _parse_bool(v):
-    if v.lower() in ("true", "yes", "1"):
-        return True
-    if v.lower() in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {v!r}")
-
-
 def _floats(v):
     return tuple(float(tok) for tok in v.split())
 
@@ -210,12 +202,6 @@ class ExperimentConfig:
             return np.array([row[i] for i in range(centers.shape[0])])
 
         return fn
-
-    def describe(self):
-        vals = dict(self.values)
-        vals["lq"] = list(vals["lq"])
-        vals["lambdas"] = list(vals["lambdas"])
-        return vals
 
 
 def parse_config(text, base_dir="."):

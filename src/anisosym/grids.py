@@ -246,17 +246,26 @@ class RadialGrid:
         return np.diff(self.s_nodes)
 
 
+def _resolve_grading(n, grading):
+    """``auto`` is uniform for n = 1 and sqrt for n = 2; other names pass."""
+    if grading == "auto":
+        return "uniform" if n == 1 else "sqrt"
+    return grading
+
+
 def make_radial_grid(n, total_measure, M, grading="uniform"):
     """Radial grid with M intervals; ``sqrt`` grading clusters nodes near 0.
 
     The graded option places s_i = L*(i/M)^2, useful for n = 2 where the
-    perimeter factor vanishes at s = 0 and the rearranged ODE degenerates.
+    perimeter factor vanishes at s = 0 and the rearranged ODE degenerates;
+    ``auto`` picks it for n = 2 and ``uniform`` for n = 1.
     """
     if M < 4:
         raise ValueError(f"need at least 4 intervals, got {M}")
     if total_measure <= 0:
         raise ValueError("total_measure must be positive")
     t = np.arange(M + 1) / M
+    grading = _resolve_grading(n, grading)
     if grading == "uniform":
         nodes = total_measure * t
     elif grading == "sqrt":
@@ -297,13 +306,6 @@ class SliceStack:
     @property
     def interior(self):
         return self.values[1:-1]
-
-    def copy_with(self, values):
-        return SliceStack(self.grid, values)
-
-    def l1_norm(self):
-        """Integral of |u| over the product domain (slab midpoint rule in y)."""
-        return float(self.h * self.grid.cell_measure * np.abs(self.interior).sum())
 
 
 def zero_stack(grid, N):

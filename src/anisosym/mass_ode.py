@@ -53,6 +53,11 @@ def difference_factor(N):
     return C
 
 
+def _values(mass):
+    """Node values of a MassFunction, or of an array of node values."""
+    return mass.values if isinstance(mass, MassFunction) else np.asarray(mass, float)
+
+
 def _odd_beta(nl, t):
     """Monotone odd extension of beta, for transient Newton states only."""
     return np.sign(t) * nl.beta(np.abs(t))
@@ -243,17 +248,13 @@ class MassSystem:
 
     def __post_init__(self):
         for j, Fj in enumerate(self.F, start=1):
-            v = Fj.values if isinstance(Fj, MassFunction) else np.asarray(Fj, float)
+            v = _values(Fj)
             if v[0] != 0.0 or np.any(np.diff(v) < -1e-12 * max(1.0, v.max())):
                 raise ValueError(f"F_{j} must be non-decreasing with F(0) = 0")
 
     @property
     def num_interior(self):
         return len(self.F)
-
-    def _F_arrays(self):
-        return [Fj.values if isinstance(Fj, MassFunction) else np.asarray(Fj, float)
-                for Fj in self.F]
 
 
 def solve_mass_system(sys, tol=1e-10, max_sweeps=50000, init=None):
@@ -266,13 +267,12 @@ def solve_mass_system(sys, tol=1e-10, max_sweeps=50000, init=None):
     """
     op, h, N = sys.op, sys.h, sys.num_interior
     lam = h ** 2 / 2.0
-    Fs = sys._F_arrays()
+    Fs = [_values(F) for F in sys.F]
     M1 = len(op.s_grid.s_nodes)
     V = np.zeros((N + 2, M1))
     if init is not None:
         for j in range(1, N + 1):
-            src = init[j - 1]
-            V[j] = src.values if isinstance(src, MassFunction) else np.asarray(src, float)
+            V[j] = _values(init[j - 1])
     scale = max(1.0, max(float(np.max(np.abs(F))) for F in Fs))
     for _ in range(max_sweeps):
         for j in range(1, N + 1):
@@ -303,10 +303,8 @@ def subsolution_slack(U_list, F_list, op, h):
     branches of unimodal slices into slope oscillations.
     """
     N = len(U_list) - 2
-    arrays = [u.values if isinstance(u, MassFunction) else np.asarray(u, float)
-              for u in U_list]
-    Fs = [f.values if isinstance(f, MassFunction) else np.asarray(f, float)
-          for f in F_list]
+    arrays = [_values(u) for u in U_list]
+    Fs = [_values(f) for f in F_list]
     out = np.empty((N, op.M))
     for j in range(1, N + 1):
         ydiff = (arrays[j + 1][1:] - 2.0 * arrays[j][1:] + arrays[j - 1][1:]) / h ** 2

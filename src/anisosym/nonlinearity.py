@@ -28,9 +28,9 @@ def _as_array(t):
     return np.asarray(t, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Nonlinearity:
-    """Immutable diffusion law; all evaluation maps are pure and vectorized."""
+    """Diffusion law, treated as immutable once built; its maps are pure and vectorized."""
 
     name: str
     p: float
@@ -99,6 +99,45 @@ def shifted_p(p, tau):
     )
 
 
+def _tabulated(ts, bs):
+    """Piecewise-linear beta through (ts, bs): (beta, antideriv, dbeta, slopes).
+
+    ``antideriv`` is the exact (piecewise quadratic) antiderivative of the
+    interpolant and ``dbeta`` its exact derivative, the chord slopes, so
+    energy, gradient and Hessian describe one and the same convex function
+    to rounding error and Newton line searches do not stall.  Beyond the
+    last node beta continues with the final slope.
+    """
+    slopes = np.diff(bs) / np.diff(ts)
+    cumB = np.concatenate([[0.0], np.cumsum(0.5 * (bs[:-1] + bs[1:]) * np.diff(ts))])
+    t_end, last = ts[-1], slopes[-1]
+
+    def beta(t):
+        t = _as_array(t)
+        out = np.interp(t, ts, bs)
+        over = t > t_end
+        if np.any(over):
+            out = np.where(over, bs[-1] + last * (t - t_end), out)
+        return out
+
+    def antideriv(t):
+        t = _as_array(t)
+        idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+        d = np.clip(t - ts[idx], 0.0, None)
+        out = cumB[idx] + bs[idx] * d + 0.5 * slopes[idx] * d ** 2
+        over = t > t_end
+        if np.any(over):
+            dd = np.where(over, t - t_end, 0.0)
+            out = np.where(over, cumB[-1] + bs[-1] * dd + 0.5 * last * dd ** 2, out)
+        return out
+
+    def dbeta(t):
+        idx = np.searchsorted(ts, _as_array(t), side="right") - 1
+        return slopes[np.clip(idx, 0, len(slopes) - 1)]
+
+    return beta, antideriv, dbeta, slopes
+
+
 def from_beta_table(table, p=2.0, C1=1.0, C2=1.0):
     """Law from tabulated (t, beta) pairs, piecewise linear in between.
 
@@ -116,33 +155,8 @@ def from_beta_table(table, p=2.0, C1=1.0, C2=1.0):
         raise ValueError("first table row must be '0 0'")
     if np.any(np.diff(ts) <= 0):
         raise ValueError("table t values must increase strictly")
-    slopes = np.diff(bs) / np.diff(ts)
-    # Exact antiderivative of the piecewise-linear interpolant.
-    seg = 0.5 * (bs[:-1] + bs[1:]) * np.diff(ts)
-    cumB = np.concatenate([[0.0], np.cumsum(seg)])
-    last = slopes[-1]
-
-    def beta(t):
-        t = _as_array(t)
-        out = np.interp(t, ts, bs)
-        over = t > ts[-1]
-        return np.where(over, bs[-1] + last * (t - ts[-1]), out)
-
-    def antideriv(t):
-        t = _as_array(t)
-        idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
-        d = np.clip(t - ts[idx], 0.0, None)
-        out = cumB[idx] + bs[idx] * d + 0.5 * slopes[idx] * d ** 2
-        over = t > ts[-1]
-        dd = t - ts[-1]
-        return np.where(over, cumB[-1] + bs[-1] * dd + 0.5 * last * dd ** 2, out)
-
-    def dbeta(t):
-        t = _as_array(t)
-        idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(slopes) - 1)
-        return slopes[idx]
-
-    lo, hi = slopes.min(), max(slopes.max(), last)
+    beta, antideriv, dbeta, slopes = _tabulated(ts, bs)
+    lo, hi = slopes.min(), slopes.max()
     eps = min(lo, 1.0 / hi) if lo > 0 and hi > 0 else None
     return Nonlinearity("table", float(p), beta, antideriv, C1, C2, dbeta, eps)
 
@@ -280,34 +294,26 @@ def _golden_min(fn, lo, hi, tol):
     return arg, take(vals, pick[None], 0)[0]
 
 
-def _cached_antiderivative(beta, t_max=1e6, points=16384):
-    """Antiderivative of beta cached on a log grid at construction time.
-
-    The stored object is the exact (piecewise quadratic) antiderivative of
-    the piecewise-linear interpolant of beta, so differentiating it
-    recovers the interpolated beta to rounding error.  Beyond t_max the
-    last slope continues.
-    """
-    grid = np.concatenate([[0.0], np.geomspace(1e-8, t_max, points)])
-    bvals = beta(grid)
-    slopes = np.diff(bvals) / np.diff(grid)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (bvals[1:] + bvals[:-1]) * np.diff(grid))])
-
-    def B(t):
-        t = _as_array(t)
-        idx = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2)
-        d = np.clip(t - grid[idx], 0.0, None)
-        out = cum[idx] + bvals[idx] * d + 0.5 * slopes[idx] * d ** 2
-        over = t > t_max
-        if np.any(over):
-            dd = np.where(over, t - t_max, 0.0)
-            out = np.where(over, cum[-1] + bvals[-1] * dd + 0.5 * slopes[-1] * dd ** 2, out)
-        return out
-
-    return B
+#: Nodes of the regularized law's beta table: 0 and a log grid up to 1e6.
+_MY_NODES = np.concatenate([[0.0], np.geomspace(1e-8, 1e6, 4096)])
+#: Relative bracket width of the golden-section search for the prox point.
+_PROX_TOL = 1e-10
 
 
-class RegularizedNonlinearity:
+def _prox(base, eps, t):
+    """Proximal point P_eps(t) of base.A and envelope value A_eps(t)."""
+    t = _as_array(t)
+    flat = np.maximum(t.ravel(), 0.0)
+
+    def objective(s):
+        return 0.5 * (flat - s) ** 2 / eps + base.A(s)
+
+    arg, val = _golden_min(objective, np.zeros_like(flat), flat, _PROX_TOL)
+    return arg.reshape(t.shape), val.reshape(t.shape)
+
+
+@dataclass(eq=False, kw_only=True)
+class RegularizedNonlinearity(Nonlinearity):
     """Inf-convolution smoothing of A plus an ellipticity shift tau.
 
     The envelope A_eps(t) = inf_s (|t-s|^2/(2 eps) + A(s)) is computed by
@@ -320,116 +326,40 @@ class RegularizedNonlinearity:
     whose slope lies in [tau, 1/eps + tau], so it satisfies the elliptic
     slope-band hypothesis whenever tau > 0.
 
-    Duck-compatible with ``Nonlinearity`` (beta/dbeta/a/A/B/flux and the
-    growth metadata), so solvers accept either.
+    ``moreau_yosida`` tabulates beta once on a log grid for the solvers' hot
+    loops (interpolation stays monotone, which is all the accretivity and
+    positivity structure needs); ``prox`` and ``envelope`` stay exact.
     """
 
-    def __init__(self, base, eps, tau=0.0, argtol=1e-10, cache_points=4096,
-                 cache_t_max=1e6):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        if tau < 0:
-            raise ValueError("tau must be nonnegative")
-        conv = validate_hypotheses(base, sample_count=64)["A-convex"]
-        if not conv.passed:
-            raise ValueError(
-                f"bracketed minimization requires convex A; base fails near t={conv.first_violation}")
-        self.base = base
-        self.eps = float(eps)
-        self.tau = float(tau)
-        self.argtol = float(argtol)
-        self.name = f"moreau_yosida({base.name},eps={eps:g},tau={tau:g})"
-        self.p = base.p
-        self.C1 = base.C1
-        self.C2 = base.C2 + tau
-        band_hi = 1.0 / self.eps + self.tau
-        self.smooth_eps = min(self.tau, 1.0 / band_hi) if tau > 0 else None
-        # Solvers evaluate beta/dbeta/B in hot loops; precompute them once
-        # on a log grid (interpolation stays monotone, which is all the
-        # accretivity and positivity structure needs).  prox/envelope keep
-        # the exact bracketed-minimization path.
-        tg = np.concatenate([[0.0], np.geomspace(1e-8, cache_t_max, cache_points)])
-        P, val = self.prox(tg)
-        safe = np.maximum(tg, TINY_T)
-        self._tgrid = tg
-        self._beta_vals = val / safe + self.tau * tg
-        self._beta_vals[0] = 0.0
-        # B is the exact antiderivative of the interpolated beta (piecewise
-        # quadratic) and dbeta its exact derivative (the chord slopes), so
-        # energy, gradient and Hessian describe one and the same convex
-        # function to rounding error and Newton line searches do not stall.
-        self._slopes = np.diff(self._beta_vals) / np.diff(tg)
-        seg = 0.5 * (self._beta_vals[1:] + self._beta_vals[:-1]) * np.diff(tg)
-        self._cumB = np.concatenate([[0.0], np.cumsum(seg)])
-        self._tail_slope = float(self._slopes[-1])
+    base: Nonlinearity
+    eps: float
+    tau: float
 
     def prox(self, t):
         """Proximal point P_eps(t) and envelope value A_eps(t)."""
-        t = _as_array(t)
-        shape = t.shape
-        flat = np.maximum(t.ravel(), 0.0)
-
-        def objective(s):
-            return 0.5 * (flat - s) ** 2 / self.eps + self.base.A(s)
-
-        arg, val = _golden_min(objective, np.zeros_like(flat), flat, self.argtol)
-        return arg.reshape(shape), val.reshape(shape)
+        return _prox(self.base, self.eps, t)
 
     def envelope(self, t):
         """The Moreau envelope A_eps(t) alone."""
         return self.prox(t)[1]
 
-    def envelope_slope(self, t):
-        """d A_eps / dt = (t - P_eps(t)) / eps, exact given the prox point."""
-        t = _as_array(t)
-        return (t - self.prox(t)[0]) / self.eps
-
-    def _interp(self, t, vals):
-        t = _as_array(t)
-        out = np.interp(t, self._tgrid, vals)
-        t_max = self._tgrid[-1]
-        over = t > t_max
-        if np.any(over):
-            out = np.where(over, vals[-1] + self._tail_slope * (t - t_max), out)
-        return out
-
-    def beta(self, t):
-        return self._interp(t, self._beta_vals)
-
-    def a(self, t):
-        t = np.maximum(_as_array(t), TINY_T)
-        return self.beta(t) / t
-
-    def A(self, t):
-        t = _as_array(t)
-        return t * self.beta(t)
-
-    def B(self, t):
-        t = _as_array(t)
-        ts, bs = self._tgrid, self._beta_vals
-        idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
-        d = np.clip(t - ts[idx], 0.0, None)
-        out = self._cumB[idx] + bs[idx] * d + 0.5 * self._slopes[idx] * d ** 2
-        over = t > ts[-1]
-        if np.any(over):
-            dd = np.where(over, t - ts[-1], 0.0)
-            out = np.where(over, self._cumB[-1] + bs[-1] * dd
-                           + 0.5 * self._tail_slope * dd ** 2, out)
-        return out
-
-    def dbeta(self, t):
-        t = _as_array(t)
-        idx = np.clip(np.searchsorted(self._tgrid, t, side="right") - 1,
-                      0, len(self._slopes) - 1)
-        return self._slopes[idx]
-
-    def flux(self, g):
-        g = _as_array(g)
-        mag = np.sqrt((g ** 2).sum(axis=-1))
-        coef = np.where(mag > 0, self.beta(np.maximum(mag, TINY_T)) / np.maximum(mag, TINY_T), 0.0)
-        return coef[..., None] * g
-
 
 def moreau_yosida(nl, eps, tau=0.0):
     """Regularize ``nl`` so its beta gains two-sided slope bounds."""
-    return RegularizedNonlinearity(nl, eps, tau)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    conv = validate_hypotheses(nl, sample_count=64)["A-convex"]
+    if not conv.passed:
+        raise ValueError(
+            f"bracketed minimization requires convex A; base fails near t={conv.first_violation}")
+    eps, tau = float(eps), float(tau)
+    bs = _prox(nl, eps, _MY_NODES)[1] / np.maximum(_MY_NODES, TINY_T) + tau * _MY_NODES
+    bs[0] = 0.0
+    beta, antideriv, dbeta, _ = _tabulated(_MY_NODES, bs)
+    return RegularizedNonlinearity(
+        name=f"moreau_yosida({nl.name},eps={eps:g},tau={tau:g})", p=nl.p,
+        beta=beta, antideriv=antideriv, C1=nl.C1, C2=nl.C2 + tau, dbeta=dbeta,
+        smooth_eps=min(tau, 1.0 / (1.0 / eps + tau)) if tau > 0 else None,
+        base=nl, eps=eps, tau=tau)

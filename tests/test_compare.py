@@ -144,7 +144,7 @@ def test_subsolution_slack_from_pipeline():
     f_stack = sample_slices(g, N, bump)
     law = moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6)
     s_grid = make_radial_grid(1, g.total_measure, M)
-    slack = pipeline_subsolution_slack(rep, g, law, f_stack, s_grid)
+    slack = pipeline_subsolution_slack(rep.u_stack, f_stack, law, s_grid)
     assert slack.min() >= -1e-3
 
 
@@ -156,7 +156,7 @@ def test_subsolution_slack_shrinks_under_refinement():
         f_stack = sample_slices(g, N, bump)
         law = moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6)
         s_grid = make_radial_grid(1, g.total_measure, M)
-        slack = pipeline_subsolution_slack(rep, g, law, f_stack, s_grid)
+        slack = pipeline_subsolution_slack(rep.u_stack, f_stack, law, s_grid)
         worst.append(max(0.0, -float(slack.min())))
     assert worst[1] <= worst[0]
 

@@ -108,6 +108,12 @@ def test_radial_grid_uniform_and_graded():
         make_radial_grid(1, 1.0, 10, grading="cubic")
 
 
+def test_radial_grid_auto_grading():
+    for n, grading in ((1, "uniform"), (2, "sqrt")):
+        auto = make_radial_grid(n, 2.0, 10, "auto")
+        assert np.array_equal(auto.s_nodes, make_radial_grid(n, 2.0, 10, grading).s_nodes)
+
+
 def test_slice_stack_h_exact():
     g = make_interval_grid(1.0, 8)
     for N in (1, 2, 6, 48):

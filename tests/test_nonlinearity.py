@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from anisosym import (from_beta_table, hypothesis_samples, make_p_laplacian,
-                      moreau_yosida, shifted_p, validate_hypotheses)
-from anisosym.nonlinearity import Nonlinearity, _cached_antiderivative
+from anisosym import (Nonlinearity, RegularizedNonlinearity, from_beta_table,
+                      hypothesis_samples, make_p_laplacian, moreau_yosida,
+                      shifted_p, validate_hypotheses)
 
 
 def test_p_laplacian_prototype_values():
@@ -81,7 +81,9 @@ def test_B_prime_matches_beta_by_finite_differences():
 
 
 def test_cached_antiderivative_matches_closed_form():
-    B = _cached_antiderivative(lambda t: np.asarray(t, float) ** 2)
+    # beta = t^2 tabulated on a 16,385-node log grid; B is exact for the table
+    grid = np.concatenate([[0.0], np.geomspace(1e-8, 1e6, 16384)])
+    B = from_beta_table(np.column_stack([grid, grid ** 2]), p=3.0).B
     ts = np.geomspace(1e-3, 100.0, 50)
     assert np.max(np.abs(B(ts) - ts ** 3 / 3) / (ts ** 3 / 3)) < 1e-5
     # its finite differences recover beta to the interpolation error
@@ -100,6 +102,16 @@ def test_beta_table_roundtrip():
     assert validate_hypotheses(nl).passed
     # beyond the table: linear continuation
     assert nl.beta(20.0) == pytest.approx(20.0)
+
+
+def test_beta_table_continues_past_last_node():
+    # slopes 1 and 2; past t = 2, beta = 3 + 2 d and B = 2.5 + 3 d + d^2
+    nl = from_beta_table(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 3.0]]))
+    d = np.array([0.0, 0.5, 1.0, 10.0])
+    assert np.allclose(nl.beta(2.0 + d), 3.0 + 2.0 * d, rtol=1e-14, atol=0)
+    assert np.allclose(nl.B(2.0 + d), 2.5 + 3.0 * d + d ** 2, rtol=1e-14, atol=0)
+    assert np.all(nl.dbeta(2.0 + d) == 2.0)
+    assert np.all(nl.dbeta(np.array([0.0, 0.5])) == 1.0)
 
 
 def test_beta_table_input_validation():
@@ -149,6 +161,15 @@ def test_envelope_sandwich_and_monotone_in_eps():
     assert gaps[0] > gaps[1] > gaps[2]              # gap closing toward A
     # first-order envelope bound: A - A_eps <= eps * max(A')^2 / 2
     assert gaps[2] <= 0.01 * (3 * 2.0 ** 2) ** 2 / 2 + 1e-9
+
+
+@pytest.mark.parametrize("eps,tau", [(1e-6, 1e-6), (1e-2, 1e-3), (0.1, 0.0)])
+def test_moreau_yosida_is_a_nonlinearity_with_own_smooth_eps(eps, tau):
+    reg = moreau_yosida(make_p_laplacian(1.5), eps, tau)
+    assert isinstance(reg, Nonlinearity) and isinstance(reg, RegularizedNonlinearity)
+    assert (reg.eps, reg.tau) == (eps, tau)
+    expected = min(tau, 1.0 / (1.0 / eps + tau)) if tau > 0 else None
+    assert reg.smooth_eps == expected
 
 
 def test_regularized_law_has_slope_band():
