@@ -105,7 +105,7 @@ class ComparisonReport:
 def verify_mass_comparison(grid, nl, f_fn=None, f_stack=None, N=7, M=64,
                            grading="auto", eps=1e-6, tau=1e-6, slack_c=10.0,
                            tol=1e-9, radial_tol=1e-8, always_regularize=False,
-                           mollify=0.0, ode_tol=1e-9):
+                           mollify=0.0):
     """Run the full comparison pipeline and certify the mass ordering.
 
     The data comes either as a callable f_fn(centers, y) or a prepared
@@ -156,7 +156,7 @@ def verify_mass_comparison(grid, nl, f_fn=None, f_stack=None, N=7, M=64,
 
     def solve_ode():
         system = MassSystem(MassOperator(s_grid, law), h, F_list[1:-1])
-        return solve_mass_system(system, tol=ode_tol, init=V_list[1:-1])
+        return solve_mass_system(system, tol=1e-9, init=V_list[1:-1])
 
     V_ode = _stage("ode", solve_ode, timings)
 

@@ -105,21 +105,21 @@ class CellGrid:
 
 
 def cell_gradients(grid, values):
-    """Sampled gradients per orientation: array of shape (2^n, m, n).
+    """Sampled gradients per orientation, shape (2^n, ..., m, n) for values (..., m).
 
-    Each orientation takes one-sided differences along every axis (toward
-    the +x / -x neighbor, with the homogeneous wall value at distance dx/2
-    where the neighbor is missing).  Averaging isotropic functionals over
-    all orientations gives a convex, consistent discretization of
-    integral functionals of |grad u|.
+    Each orientation takes one-sided differences along every axis
+    (toward the +x / -x neighbor, with the homogeneous wall value at
+    distance dx/2 where the neighbor is missing).  Averaging isotropic
+    functionals over all orientations gives a convex, consistent
+    discretization of integral functionals of |grad u|.
     """
     u = np.asarray(values, dtype=float)
     stencils = grid.orientation_stencils()
-    out = np.empty((len(stencils), grid.num_cells, grid.n))
+    out = np.empty((len(stencils),) + u.shape + (grid.n,))
     for q, axes in enumerate(stencils):
         for k, (other, scale) in enumerate(axes):
-            uo = np.where(other >= 0, u[np.maximum(other, 0)], 0.0)
-            out[q, :, k] = scale * (uo - u)
+            uo = np.where(other >= 0, u[..., np.maximum(other, 0)], 0.0)
+            out[q, ..., k] = scale * (uo - u)
     return out
 
 
@@ -236,10 +236,6 @@ class RadialGrid:
     @property
     def num_intervals(self):
         return len(self.s_nodes) - 1
-
-    @property
-    def length(self):
-        return float(self.s_nodes[-1])
 
     @property
     def spacings(self):

@@ -19,10 +19,6 @@ import numpy as np
 from .grids import CellGrid, RadialGrid, SliceStack, BALL_MEASURE, gradient_functional, symmetrized_grid
 
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
 @dataclass(eq=False)
 class ScalarField:
     """Cell values on a CellGrid; rearrangement inputs must be nonnegative."""
@@ -43,13 +39,6 @@ class ScalarField:
 
     def integral(self):
         return float(self.values.sum() * self.grid.cell_measure)
-
-    def to_csv(self, path):
-        cols = "x,value" if self.grid.n == 1 else "x,y,value"
-        with open(path, "w") as fh:
-            fh.write(cols + "\n")
-            for c, v in zip(self.grid.centers, self.values):
-                fh.write(",".join(_fmt(x) for x in c) + "," + _fmt(v) + "\n")
 
 
 @dataclass(eq=False)
@@ -112,15 +101,12 @@ class StepData:
 class Profile:
     """Decreasing rearrangement sampled on a radial grid.
 
-    ``convention`` is ``"step"`` (right-continuous samples of the exact step
-    function; canonical for equimeasurability) or ``"linear"`` (same node
-    values, read as piecewise linear when differentiated downstream).  The
+    The values are right-continuous samples of the exact step function; the
     exact steps ride along whenever the profile came from a field.
     """
 
     s_grid: RadialGrid
     values: np.ndarray
-    convention: str = "step"
     steps: StepData | None = None
 
     def __post_init__(self):
@@ -129,12 +115,6 @@ class Profile:
             raise ValueError("profile must hold one value per s-node")
         if np.any(np.diff(self.values) > 1e-12 * max(1.0, np.abs(self.values).max())):
             raise ValueError("profile values must be non-increasing")
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("s,value\n")
-            for s, v in zip(self.s_grid.s_nodes, self.values):
-                fh.write(_fmt(s) + "," + _fmt(v) + "\n")
 
 
 @dataclass(eq=False)
@@ -158,12 +138,6 @@ class MassFunction:
     def at(self, s):
         return np.interp(s, self.s_grid.s_nodes, self.values)
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("s,value\n")
-            for s, v in zip(self.s_grid.s_nodes, self.values):
-                fh.write(_fmt(s) + "," + _fmt(v) + "\n")
-
 
 def distribution_function(field, t):
     """Measure of {x : u(x) > t}; non-increasing in t."""
@@ -171,12 +145,10 @@ def distribution_function(field, t):
     return StepData.from_field(field).distribution(t)
 
 
-def decreasing_rearrangement(field, s_grid, convention="step"):
+def decreasing_rearrangement(field, s_grid):
     """Sort cells by value, accumulate measures, sample onto the s-grid."""
-    if convention not in ("step", "linear"):
-        raise ValueError(f"unknown convention {convention!r}")
     steps = StepData.from_field(field)
-    return Profile(s_grid, steps.value_at(s_grid.s_nodes), convention, steps)
+    return Profile(s_grid, steps.value_at(s_grid.s_nodes), steps)
 
 
 def mass_function(profile):

@@ -14,7 +14,9 @@ whose Euler-Lagrange equations are the sliced problem
 The x-part uses the orientation-averaged one-sided gradient sampling from
 ``grids.cell_gradients`` (for n = 1 this is exactly P1 finite elements on
 the cell centers plus wall nodes; for n = 2 and p = 2 it reduces to the
-5-point scheme).  Minimization is by damped Newton with Armijo
+5-point scheme).  All slices are evaluated in one pass, and the sparsity
+pattern of their x-blocks, the same for every slice and Newton step, is
+built once per solve.  Minimization is by damped Newton with Armijo
 backtracking; the Hessian is block tridiagonal in the slice index.  Newton
 directions come from one sparse LU of the Hessian, or, on 2-D
 cross-sections, from CG preconditioned in the sine modes of the y-coupling
@@ -26,6 +28,7 @@ degenerate laws are solved through their Moreau-Yosida regularization.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +115,9 @@ def _y_modes(N, h):
 class _StackFunctional:
     """Energy, gradient and Hessian of J on the stacked interior unknowns.
 
-    ``h`` is the slice spacing, or None for the x-only problem.
+    ``h`` is the slice spacing, or None for the x-only problem.  A slice
+    block is held in stencil slots, slot (s, i) coupling cell i with the cell
+    at lattice offset s in {-1, 0, 1}^n; ``_perm`` reads them in CSC order.
     """
 
     def __init__(self, grid, nl, f_rows, h):
@@ -128,76 +133,102 @@ class _StackFunctional:
         self.YQ = None if h is None else self.mc * sp.kron(self.Q, sp.eye(self.m), format="csc")
         self.weight = 1.0 / 2 ** grid.n
         self.stencils = grid.orientation_stencils()
+        # One slice block's CSC pattern, and _perm from the slots to its entries.
+        cols = np.full((3 ** grid.n, self.m), -1)
+        for *_, kinds in self._terms():
+            for rows, s, _, _, col in kinds:
+                cols[s, rows] = col
+        s_idx, rows = np.nonzero(cols >= 0)
+        col = cols[s_idx, rows]
+        order = np.lexsort((rows, col))          # CSC: by column, then by row
+        self._perm = (s_idx * self.m + rows)[order]
+        self._indices = rows[order].astype(np.int32)
+        self._indptr = np.searchsorted(col[order], np.arange(self.m + 1)).astype(np.int32)
 
-    def _orientations(self, u):
-        """Per orientation: the stencil, d of shape (m, n) and |d|."""
-        d = cell_gradients(self.grid, u)
-        return zip(self.stencils, d, np.sqrt((d ** 2).sum(axis=-1)))
+    def _terms(self):
+        """Per (orientation, k1, k2): q, k1, k2, the two scales and the term kinds.
+
+        The kinds add c at (i, i), -c at (i, other2), -c at (other1, i) and c at
+        (other1, other2), each given as (rows, slot, cells, sign, columns)."""
+        n, m = self.grid.n, self.m
+        slot = lambda offset: int(np.dot(offset, 3 ** np.arange(n))) + 3 ** n // 2
+        for q, axes in enumerate(self.stencils):
+            # Orientation q steps toward -x_k where bit k of q is set.
+            step = np.diag(1 - 2 * ((q >> np.arange(n)) & 1))
+            for k1, (oth1, sc1) in enumerate(axes):
+                for k2, (oth2, sc2) in enumerate(axes):
+                    v1, v2 = oth1 >= 0, oth2 >= 0
+                    v1, v2, both = np.flatnonzero(v1), np.flatnonzero(v2), np.flatnonzero(v1 & v2)
+                    yield q, k1, k2, sc1, sc2, [
+                        (slice(None), 3 ** n // 2, slice(None), 1.0, np.arange(m)),
+                        (v2, slot(step[k2]), v2, -1.0, oth2[v2]),
+                        (oth1[v1], slot(-step[k1]), v1, -1.0, v1),
+                        (oth1[both], slot(step[k2] - step[k1]), both, 1.0, oth2[both])]
+
+    def _sample(self, z):
+        """Sampled gradients d, shape (2^n, k, m, n), of all slices and |d|."""
+        d = cell_gradients(self.grid, z)
+        return d, np.sqrt((d ** 2).sum(axis=-1))
 
     def energy(self, z):
-        val = 0.0
-        for j in range(self.k):
-            val += gradient_functional(self.grid, z[j], self.nl.B)
+        per_slice = self.mc * self.nl.B(self._sample(z)[1]).mean(axis=0).sum(axis=-1)
+        val = float(np.cumsum(per_slice)[-1])          # summed in slice order
         if self.Q is not None:
             val += 0.5 * self.mc * float(np.sum(z * (self.Q @ z)))
         val -= self.mc * float(np.sum(self.f_rows * z))
         return val
 
     def gradient(self, z):
+        d, mag = self._sample(z)
+        coef = self.weight * self.mc * self.nl.a(mag)
         g = np.zeros_like(z)
-        for j in range(self.k):
-            for axes, d, mag in self._orientations(z[j]):
-                coef = self.weight * self.mc * self.nl.a(mag)
-                for kk, (other, scale) in enumerate(axes):
-                    t = coef * d[:, kk] * scale
-                    g[j] -= t
-                    valid = other >= 0
-                    np.add.at(g[j], other[valid], t[valid])
+        for q, axes in enumerate(self.stencils):
+            for kk, (other, scale) in enumerate(axes):
+                t = coef[q] * d[q, ..., kk] * scale
+                g -= t
+                valid = other >= 0
+                # One-sided neighbors are distinct, so no index repeats.
+                g[:, other[valid]] += t[:, valid]
         if self.Q is not None:
             g += self.mc * (self.Q @ z)
         g -= self.mc * self.f_rows
         return g
 
-    def _slice_hessian(self, u):
-        rows, cols, vals = [], [], []
-        cells = np.arange(self.m)
-        for axes, d, mag in self._orientations(u):
-            a = self.nl.a(mag)
-            db = self.nl.dbeta(mag)
-            safe = np.maximum(mag, 1e-300)
-            ghat = d / safe[:, None]
-            ghat[mag < 1e-14] = 0.0
-            for k1, (oth1, sc1) in enumerate(axes):
-                for k2, (oth2, sc2) in enumerate(axes):
-                    c = self.weight * self.mc * (
-                        (a if k1 == k2 else 0.0) + (db - a) * ghat[:, k1] * ghat[:, k2])
-                    c = c * sc1 * sc2
-                    v1 = oth1 >= 0
-                    v2 = oth2 >= 0
-                    rows.append(cells); cols.append(cells); vals.append(c)
-                    rows.append(cells[v2]); cols.append(oth2[v2]); vals.append(-c[v2])
-                    rows.append(oth1[v1]); cols.append(cells[v1]); vals.append(-c[v1])
-                    both = v1 & v2
-                    rows.append(oth1[both]); cols.append(oth2[both]); vals.append(c[both])
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        return sp.coo_matrix((vals, (rows, cols)), shape=(self.m, self.m)).tocsr()
+    def _slots(self, z):
+        """Every slice's x-block in stencil slots, shape (k, 3^n, m)."""
+        d, mag = self._sample(z)
+        a, db = self.nl.a(mag), self.nl.dbeta(mag)
+        ghat = d / np.maximum(mag, 1e-300)[..., None]
+        ghat[mag < 1e-14] = 0.0
+        slots = np.zeros((self.k, 3 ** self.grid.n, self.m))
+        for q, k1, k2, sc1, sc2, kinds in self._terms():
+            c = self.weight * self.mc * ((a[q] if k1 == k2 else 0.0) + (db[q] - a[q])
+                                         * ghat[q, ..., k1] * ghat[q, ..., k2]) * sc1 * sc2
+            for rows, s, sel, sign, _ in kinds:
+                slots[:, s, rows] += sign * c[:, sel]
+        return slots
 
     def hessian(self, z):
-        """The assembled CSC Hessian and its per-slice x-blocks."""
-        blocks = [self._slice_hessian(z[j]) for j in range(self.k)]
-        H = sp.block_diag(blocks, format="csc")
+        """The assembled CSC Hessian and the mean of the slice x-blocks."""
+        # _slots frees its per-cell arrays before H and the mode LUs exist (lower peak
+        # RSS).  In C order, data.sum(axis=0) adds the blocks in slice order.
+        data = self._slots(z).reshape(self.k, -1).take(self._perm, axis=1)
+        j = np.arange(self.k, dtype=np.int32)[:, None]          # slice of each block
+        indices = (self._indices + j * self.m).ravel()
+        indptr = np.append((self._indptr[:-1] + j * data.shape[1]).ravel(), np.int32(data.size))
+        H = sp.csc_matrix((data.ravel(), indices, indptr), shape=(self.k * self.m,) * 2)
         if self.YQ is not None:
             H = H + self.YQ
-        return H, blocks
+        mean = sp.csc_matrix((data.sum(axis=0) * (1 / self.k), self._indices, self._indptr),
+                             shape=(self.m, self.m))
+        return H, mean
 
     def dual_norm(self, g):
         """Max over slices of the mass-preconditioned l2 residual norm."""
         return float(np.max(np.sqrt(np.sum(g ** 2, axis=1) / self.mc)))
 
 
-def _mode_pcg(func, H, blocks, rhs, counters):
+def _mode_pcg(func, H, A, rhs, counters):
     """Solve H d = rhs by CG preconditioned in the DST-I modes of the y-coupling.
 
     The preconditioner replaces every slice block by their mean A; in the
@@ -207,9 +238,8 @@ def _mode_pcg(func, H, blocks, rhs, counters):
     """
     k, m = func.k, func.m
     S, lam = _y_modes(k, func.h)
-    A = sum(blocks[1:], blocks[0]) / k
-    eye = sp.eye(m, format="csr")
-    lus = [spla.splu((A + (func.mc * li) * eye).tocsc(), permc_spec="MMD_AT_PLUS_A",
+    eye = sp.eye(m, format="csc")
+    lus = [spla.splu(A + (func.mc * li) * eye, permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
            for li in lam]
 
@@ -237,10 +267,10 @@ def _newton_direction(func, z, g, counters):
     ``counters`` gains the CG iterations and one fallback per CG-to-LU
     switch and per failed LU.
     """
-    H, blocks = func.hessian(z)
+    H, A = func.hessian(z)
     rhs = -g.ravel()
     if func.Q is not None and func.grid.n == 2:
-        d = _mode_pcg(func, H, blocks, rhs, counters)
+        d = _mode_pcg(func, H, A, rhs, counters)
         if d is not None:
             return d
         counters["fallbacks"] += 1
@@ -330,9 +360,10 @@ def _warm_start(func, counters):
     """Initial iterate from the quadratic-law (p = 2) problem.
 
     A single linear solve; used whenever it lowers the true energy below
-    the zero stack's.
+    the zero stack's.  The p = 2 functional shares ``func``'s block pattern.
     """
-    quad = _StackFunctional(func.grid, make_p_laplacian(2), func.f_rows, func.h)
+    quad = copy.copy(func)
+    quad.nl = make_p_laplacian(2)
     zero = np.zeros((func.k, func.m))
     d = _newton_direction(quad, zero, quad.gradient(zero), counters)
     if d is None:

@@ -253,22 +253,3 @@ def test_gradient_identity_radial():
         errs.append(np.max(np.abs(lhs - rhs)[keep]))
         assert errs[-1] < 10.0 * grid.dx
     assert errs[1] < errs[0]
-
-
-def test_csv_exports(tmp_path):
-    grid = make_interval_grid(1.0, 8)
-    field = ScalarField(grid, np.linspace(0, 1, 8))
-    path = tmp_path / "field.csv"
-    field.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,value"
-    assert len(lines) == 9
-    prof = decreasing_rearrangement(field, make_radial_grid(1, 1.0, 8))
-    ppath = tmp_path / "profile.csv"
-    prof.to_csv(ppath)
-    assert ppath.read_text().splitlines()[0] == "s,value"
-    U = mass_function(prof)
-    mpath = tmp_path / "mass.csv"
-    U.to_csv(mpath)
-    body = np.loadtxt(mpath, delimiter=",", skiprows=1)
-    assert body[0, 1] == 0.0

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from anisosym import (DiscreteProblem, make_ball_grid, make_disk_grid,
-                      make_interval_grid, make_p_laplacian, moreau_yosida,
-                      residual_norm, sample_slices, solve_cross_section,
-                      solve_stack, solve_symmetrized, solve_tau_extrapolated,
-                      stack_energy, steiner_rearrangement, y_interpolant,
-                      zero_stack)
+                      make_interval_grid, make_p_laplacian, make_square_grid,
+                      moreau_yosida, residual_norm, sample_slices,
+                      solve_cross_section, solve_stack, solve_symmetrized,
+                      solve_tau_extrapolated, stack_energy,
+                      steiner_rearrangement, y_interpolant, zero_stack)
 from anisosym import solver
 from anisosym.grids import SliceStack
 
@@ -360,3 +361,54 @@ def test_failed_lu_is_counted(monkeypatch):
     sol = solve_stack(prob)          # the warm start's LU fails: zero start
     assert sol.fallbacks == 1
     assert np.max(np.abs(sol.stack.values - ref.stack.values)) <= 1e-9
+
+
+FUNCTIONAL_GRIDS = {"interval": lambda: make_interval_grid(1.0, 24),
+                    "square": lambda: make_square_grid(1.0, 10),
+                    "disk": lambda: make_disk_grid(1.0, 12)}
+
+
+@pytest.mark.parametrize("p", [1.5, 3])
+@pytest.mark.parametrize("kind", sorted(FUNCTIONAL_GRIDS))
+def test_stack_functional_matches_single_slices(kind, p):
+    # Without a y-coupling the k-slice functional is k independent copies of
+    # the x-only one; evaluating them in one pass must not change a bit.
+    grid, nl, k = FUNCTIONAL_GRIDS[kind](), moreau_yosida(make_p_laplacian(p), 1e-6, 1e-6), 3
+    z = np.random.default_rng(7).uniform(0.0, 0.3, (k, grid.num_cells))
+    z[1, :4] = 0.0                       # some zero gradients
+    stack = solver._StackFunctional(grid, nl, np.zeros_like(z), None)
+    singles = [solver._StackFunctional(grid, nl, np.zeros((1, grid.num_cells)), None)
+               for _ in range(k)]
+    energy = 0.0
+    for j, single in enumerate(singles):
+        energy += single.energy(z[j:j + 1])
+    assert stack.energy(z) == energy
+    g = stack.gradient(z)
+    for j, single in enumerate(singles):
+        assert np.array_equal(g[j], single.gradient(z[j:j + 1])[0])
+    H, mean = stack.hessian(z)
+    blocks = [single.hessian(z[j:j + 1])[0].toarray() for j, single in enumerate(singles)]
+    scale = max(np.abs(b).max() for b in blocks)
+    assert np.abs(H.toarray() - sp.block_diag(blocks).toarray()).max() <= 1e-15 * scale
+    assert np.abs(mean.toarray() - sum(blocks) / k).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("p", [1.5, 3])
+@pytest.mark.parametrize("kind", sorted(FUNCTIONAL_GRIDS))
+def test_stack_derivatives_match_central_differences(kind, p):
+    # The power law itself: its dbeta is the exact derivative of beta, while
+    # a tabulated law's chord slopes jump at the nodes and blur the check.
+    grid, k = FUNCTIONAL_GRIDS[kind](), 4
+    rng = np.random.default_rng(11)
+    f = rng.uniform(0.0, 1.0, (k, grid.num_cells))
+    func = solver._StackFunctional(grid, make_p_laplacian(p), f, 1.0 / (k + 1))
+    z = rng.uniform(0.05, 0.3, f.shape)
+    v = rng.normal(size=f.shape)
+    eps = 1e-6
+    g = func.gradient(z)
+    slope = (func.energy(z + eps * v) - func.energy(z - eps * v)) / (2 * eps)
+    assert slope == pytest.approx(float(np.sum(g * v)), rel=1e-7)
+    H, _ = func.hessian(z)
+    Hv = H @ v.ravel()
+    fd = (func.gradient(z + eps * v) - func.gradient(z - eps * v)).ravel() / (2 * eps)
+    assert np.linalg.norm(fd - Hv) <= 1e-6 * np.linalg.norm(Hv)
