@@ -161,8 +161,7 @@ def _cmd_sweep(cfg, args, out_dir, manifest):
     grid = cfg.build_grid()
     nl = cfg.build_nonlinearity()
     f_fn = cfg.data_function()
-    common = dict(M=cfg["sgrid.M"], slack_c=cfg["slack_c"], tol=cfg["tol"],
-                  threads=args.threads)
+    common = dict(M=cfg["sgrid.M"], slack_c=cfg["slack_c"], tol=cfg["tol"])
     t0 = time.perf_counter()
     if args.param == "eps":
         rep = epsilon_tau_sweep(grid, nl, f_fn, eps_list=args.values,
@@ -193,8 +192,6 @@ def main(argv=None):
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="override the config seed")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="parallel sweep points")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="output directory (default: config)")
     parser = argparse.ArgumentParser(
@@ -213,7 +210,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     # flags carry SUPPRESS defaults so either position survives the merge
     args.seed = getattr(args, "seed", None)
-    args.threads = getattr(args, "threads", 1)
     args.out = getattr(args, "out", None)
 
     try:

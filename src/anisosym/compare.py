@@ -19,7 +19,6 @@ checks) or the slice count (boundedness and self-convergence checks).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,6 +176,7 @@ def verify_mass_comparison(grid, nl, f_fn=None, f_stack=None, N=7, M=64,
         "u_iterations": u_sol.iterations, "v_iterations": v_sol.iterations,
         "u_cg_iterations": u_sol.cg_iterations, "v_cg_iterations": v_sol.cg_iterations,
         "u_fallbacks": u_sol.fallbacks, "v_fallbacks": v_sol.fallbacks,
+        "u_eps_stages": u_sol.eps_stages, "v_eps_stages": v_sol.eps_stages,
         "ball_measure": ball.total_measure,
     }
     return ComparisonReport(
@@ -258,15 +258,8 @@ class SweepReport:
                 "passed": self.passed}
 
 
-def _run_points(jobs, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda fn: fn(), jobs))
-    return [fn() for fn in jobs]
-
-
 def epsilon_tau_sweep(grid, nl, f_fn, eps_list, tau_list, N=7, M=64,
-                      slack_c=10.0, tol=1e-9, threads=1, **kw):
+                      slack_c=10.0, tol=1e-9, **kw):
     """Solve across the regularization grid and check the approximation laws.
 
     At fixed tau the minimal energies must not decrease as eps shrinks
@@ -277,23 +270,19 @@ def epsilon_tau_sweep(grid, nl, f_fn, eps_list, tau_list, N=7, M=64,
     eps_sorted = sorted(eps_list, reverse=True)
     combos = [(t, e) for t in tau_list for e in eps_sorted]
 
-    def job(pair):
-        t, e = pair
+    def run(t, e):
+        try:
+            rep = verify_mass_comparison(grid, nl, f_fn=f_fn, N=N, M=M,
+                                         eps=e, tau=t, slack_c=slack_c,
+                                         tol=tol, always_regularize=True, **kw)
+            return {"eps": e, "tau": t, "worst_gap": rep.worst_gap,
+                    "passed": rep.passed, "energy": rep.u_energy,
+                    "stack": rep.u_stack, "error": None}
+        except Exception as exc:  # recorded, not fatal
+            return {"eps": e, "tau": t, "worst_gap": None, "passed": False,
+                    "energy": None, "stack": None, "error": str(exc)}
 
-        def run():
-            try:
-                rep = verify_mass_comparison(grid, nl, f_fn=f_fn, N=N, M=M,
-                                             eps=e, tau=t, slack_c=slack_c,
-                                             tol=tol, always_regularize=True, **kw)
-                return {"eps": e, "tau": t, "worst_gap": rep.worst_gap,
-                        "passed": rep.passed, "energy": rep.u_energy,
-                        "stack": rep.u_stack, "error": None}
-            except Exception as exc:  # recorded, not fatal
-                return {"eps": e, "tau": t, "worst_gap": None, "passed": False,
-                        "energy": None, "stack": None, "error": str(exc)}
-        return run
-
-    results = _run_points([job(c) for c in combos], threads)
+    results = [run(t, e) for t, e in combos]
     checks = {}
     for t in tau_list:
         full_row = [r for r in results if r["tau"] == t]
@@ -312,8 +301,7 @@ def epsilon_tau_sweep(grid, nl, f_fn, eps_list, tau_list, N=7, M=64,
     return SweepReport("eps-tau", points, checks)
 
 
-def h_refinement_study(grid, nl, f_fn, N_list, M=64, slack_c=10.0, tol=1e-9,
-                       threads=1, **kw):
+def h_refinement_study(grid, nl, f_fn, N_list, M=64, slack_c=10.0, tol=1e-9, **kw):
     """Refine the slice count: self-convergence in L^1 and bounded energy.
 
     Interpolated solutions at successive N are compared exactly in y; the
@@ -323,14 +311,9 @@ def h_refinement_study(grid, nl, f_fn, N_list, M=64, slack_c=10.0, tol=1e-9,
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("N_list must increase")
 
-    def job(N):
-        def run():
-            rep = verify_mass_comparison(grid, nl, f_fn=f_fn, N=N, M=M,
-                                         slack_c=slack_c, tol=tol, **kw)
-            return N, rep
-        return run
-
-    results = _run_points([job(N) for N in N_list], threads)
+    results = [(N, verify_mass_comparison(grid, nl, f_fn=f_fn, N=N, M=M,
+                                          slack_c=slack_c, tol=tol, **kw))
+               for N in N_list]
     interps = [y_interpolant(rep.u_stack) for _, rep in results]
     h1 = [it.h1_norm_sq() ** 0.5 for it in interps]
     diffs = [a.l1_distance(b) for a, b in zip(interps, interps[1:])]

@@ -15,7 +15,6 @@ Three discretizations live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -69,10 +68,6 @@ class CellGrid:
     @property
     def cell_measure(self):
         return self.dx ** self.n
-
-    @property
-    def measures(self):
-        return np.full(self.num_cells, self.cell_measure)
 
     @property
     def total_measure(self):
@@ -290,10 +285,6 @@ class SliceStack:
     @property
     def num_interior(self):
         return self.values.shape[0] - 2
-
-    @property
-    def h_exact(self):
-        return Fraction(1, self.num_interior + 1)
 
     @property
     def h(self):

@@ -14,7 +14,7 @@ beta that the slice solver's Newton method requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -334,6 +334,13 @@ class RegularizedNonlinearity(Nonlinearity):
     base: Nonlinearity
     eps: float
     tau: float
+    _siblings: dict = field(default_factory=dict, init=False, repr=False)
+
+    def with_eps(self, eps):
+        """The regularization of the same base and tau at another eps, built once."""
+        if eps not in self._siblings:
+            self._siblings[eps] = moreau_yosida(self.base, eps, self.tau)
+        return self._siblings[eps]
 
     def prox(self, t):
         """Proximal point P_eps(t) and envelope value A_eps(t)."""

@@ -23,7 +23,9 @@ cross-sections, from CG preconditioned in the sine modes of the y-coupling
 (``_newton_direction``).
 
 Nonlinearities must carry two-sided slope bounds on beta (``smooth_eps``);
-degenerate laws are solved through their Moreau-Yosida regularization.
+degenerate laws are solved through their Moreau-Yosida regularization.  When
+the regularized law's base is singular at 0 (p < 2), the solve follows eps
+down a short path of coarser regularizations first (``_eps_path``).
 """
 
 from __future__ import annotations
@@ -36,10 +38,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import SliceStack, cell_gradients, gradient_functional
-from .nonlinearity import make_p_laplacian
+from .nonlinearity import RegularizedNonlinearity, make_p_laplacian
 
 _ARMIJO = 1e-4
 _CG_MAXITER = 200                 # then the mode-preconditioned CG hands over to LU
+#: Regularization eps of the path stages, the largest first; a solve takes
+#: those above its own law's eps.
+_EPS_PATH = tuple(10.0 ** -k for k in range(2, 13))
+#: Dual-norm tolerance of the intermediate path stages, which skip the polish.
+_STAGE_TOL = 1e-4
 
 
 class SolverError(RuntimeError):
@@ -80,6 +87,7 @@ class DiscreteSolution:
     converged: bool
     cg_iterations: int             # preconditioned CG iterations over all linear solves
     fallbacks: int                 # CG solves handed to LU, plus failed LUs
+    eps_stages: tuple              # (eps, Newton iterations) per stage, the law's own last
 
     def __post_init__(self):
         if self.energy > 1e-10:
@@ -281,8 +289,12 @@ def _newton_direction(func, z, g, counters):
         return None
 
 
-def _minimize(func, z0, tol, max_iter, counters):
-    """Damped Newton with Armijo backtracking; returns (z, info)."""
+def _minimize(func, z0, tol, max_iter, counters, polish=True):
+    """Damped Newton with Armijo backtracking; returns (z, info).
+
+    ``polish`` adds one Newton step after convergence; the intermediate
+    stages of an eps path skip it.
+    """
     z = z0.copy()
     J = func.energy(z)
     energies = [J]
@@ -339,7 +351,7 @@ def _minimize(func, z0, tol, max_iter, counters):
         raise SolverError(
             f"no convergence after {iterations} iterations (residual {res:.3e}); "
             "the problem may be too stiff -- increase regularization tau")
-    if res > 1e-13:
+    if polish and res > 1e-13:
         # One polishing step: quadratic convergence typically lands the
         # residual near machine precision, which the positivity and
         # comparison properties rely on.
@@ -386,20 +398,60 @@ def residual_norm(prob, stack):
     return func.dual_norm(func.gradient(stack.interior))
 
 
+def _eps_path(nl):
+    """The coarser laws solved before ``nl``, largest eps first.
+
+    A Moreau-Yosida law whose base is singular at 0 (p < 2) caps the slope
+    of beta at 1/eps, and damped Newton crawls at small eps.  Following eps
+    down, each stage warm-started from the last, keeps every stage near its
+    quadratic-convergence region (path following as in Hintermueller &
+    Kunisch, SIAM J. Optim. 17 (2006)).  Other laws take no path.
+    """
+    if not isinstance(nl, RegularizedNonlinearity) or nl.base.p >= 2:
+        return []
+    return [nl.with_eps(e) for e in _EPS_PATH if e > nl.eps]
+
+
+def _solve(func, z, tol, max_iter, counters):
+    """Minimize ``func`` along its eps path; returns (z, info).
+
+    Intermediate stages stop at ``_STAGE_TOL`` without a polish; the last
+    stage is ``func``'s own law at ``tol``.  ``info`` is the last stage's,
+    with ``iterations`` summed over all stages and ``eps_stages`` holding
+    (eps, iterations) per stage.
+    """
+    stages = []
+    for law in _eps_path(func.nl) + [func.nl]:
+        last = law is func.nl
+        stage = func if last else copy.copy(func)
+        stage.nl = law
+        if z is None:
+            z = _warm_start(stage, counters)
+        z, info = _minimize(stage, z, tol if last else _STAGE_TOL,
+                            max_iter - sum(it for _, it in stages), counters, polish=last)
+        stages.append((getattr(law, "eps", None), info["iterations"]))
+    info["iterations"] = sum(it for _, it in stages)
+    info["eps_stages"] = tuple(stages)
+    return z, info
+
+
 def solve_stack(prob, tol=1e-9, max_iter=500, z0=None):
-    """Minimize J; the returned stack is nonnegative up to solver precision."""
+    """Minimize J; the returned stack is nonnegative up to solver precision.
+
+    ``energies`` are those of the last eps stage; ``iterations`` counts
+    every stage.
+    """
     _require_smooth(prob.nl)
     func = _StackFunctional(prob.grid, prob.nl, prob.f.interior, prob.h)
     counters = {"cg_iterations": 0, "fallbacks": 0}
-    if z0 is None:
-        z0 = _warm_start(func, counters)
-    z, info = _minimize(func, z0, tol, max_iter, counters)
+    z, info = _solve(func, z0, tol, max_iter, counters)
     vals = np.zeros((prob.num_interior + 2, prob.grid.num_cells))
     vals[1:-1] = z
     return DiscreteSolution(prob, SliceStack(prob.grid, vals), info["energy"],
                             info["residual"], info["iterations"],
                             info["energies"], info["converged"],
-                            counters["cg_iterations"], counters["fallbacks"])
+                            counters["cg_iterations"], counters["fallbacks"],
+                            info["eps_stages"])
 
 
 def solve_cross_section(grid, nl, f_values, tol=1e-9, max_iter=500):
@@ -407,8 +459,7 @@ def solve_cross_section(grid, nl, f_values, tol=1e-9, max_iter=500):
     _require_smooth(nl)
     func = _StackFunctional(grid, nl, np.asarray(f_values, dtype=float)[None, :], None)
     counters = {"cg_iterations": 0, "fallbacks": 0}
-    z0 = _warm_start(func, counters)
-    z, info = _minimize(func, z0, tol, max_iter, counters)
+    z, info = _solve(func, None, tol, max_iter, counters)
     info.update(counters)
     return z[0], info
 

@@ -90,6 +90,15 @@ def test_criterion_1_mass_comparison_matrix(comparison_matrix):
             + ("" if worst_cfg is None else f"; first failure {worst_cfg}"))
 
 
+def test_criterion_1_newton_iterations_bounded(comparison_matrix):
+    # Stiff laws (p < 2) follow eps down; no configuration may crawl.
+    results, _ = comparison_matrix
+    total, key = max((rep.meta["u_iterations"] + rep.meta["v_iterations"], key)
+                     for key, reports in results for rep in reports)
+    _report("1 (Newton)", total <= 40,
+            f"at most {total} u + v Newton iterations per comparison <= 40, at {key}")
+
+
 def test_criterion_9_positivity_and_data_monotonicity(comparison_matrix):
     results, _ = comparison_matrix
     min_u = min(float(rep.u_stack.values.min())

@@ -113,6 +113,8 @@ def test_compare_command_end_to_end(tmp_path):
     assert report["passed"] is True
     assert report["worst_gap"] >= -report["slack_budget"]
     assert set(report["lq"].keys()) == {"1", "2"}
+    # p = 3 takes no eps path: one stage at the configured eps.
+    assert report["meta"]["u_eps_stages"] == [[1e-6, report["meta"]["u_iterations"]]]
     lines = (tmp_path / "run1" / "comparison.csv").read_text().splitlines()
     assert lines[0] == "j,s,U,V,gap"
     manifest = json.loads((tmp_path / "run1" / "manifest.json").read_text())

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from anisosym import (DiscreteProblem, make_ball_grid, make_disk_grid,
                       make_interval_grid, make_p_laplacian, make_square_grid,
                       moreau_yosida, residual_norm, sample_slices,
-                      solve_cross_section, solve_stack, solve_symmetrized,
+                      shifted_p, solve_cross_section, solve_stack, solve_symmetrized,
                       solve_tau_extrapolated, stack_energy,
                       steiner_rearrangement, y_interpolant, zero_stack)
 from anisosym import solver
@@ -412,3 +412,73 @@ def test_stack_derivatives_match_central_differences(kind, p):
     Hv = H @ v.ravel()
     fd = (func.gradient(z + eps * v) - func.gradient(z - eps * v)).ravel() / (2 * eps)
     assert np.linalg.norm(fd - Hv) <= 1e-6 * np.linalg.norm(Hv)
+
+
+def two_bump_stiff_problem(seed):
+    """The 1-D two-bump p = 1.5 problem at 128 cells and N = 15, jittered by ``seed``.
+
+    Each bump centre moves by up to 0.001 and each amplitude scales by a factor
+    in [0.995, 1.005].  Seeds 1 and 5 exhaust 500 single-stage Newton steps.
+    """
+    rng = np.random.default_rng(seed)
+    bumps = []
+    for amp, width, centre in ((1.0, 80.0, 0.25), (0.7, 90.0, 0.7)):
+        shift = rng.uniform(-0.001, 0.001, size=1)[0]
+        bumps.append((amp * rng.uniform(0.995, 1.005), width, centre + shift))
+    (a1, w1, c1), (a2, w2, c2) = bumps
+
+    def f_fn(c, y):
+        x = c[:, 0]
+        return a1 * np.exp(-w1 * (x - c1) ** 2) + a2 * np.exp(-w2 * (x - c2) ** 2) * (1 + y)
+
+    g = make_interval_grid(1.0, 128)
+    law = moreau_yosida(make_p_laplacian(1.5), 1e-6, 1e-6)
+    return DiscreteProblem(g, law, sample_slices(g, 15, f_fn))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_eps_path_converges_on_jittered_stiff_data(seed):
+    prob = two_bump_stiff_problem(seed)
+    sol = solve_stack(prob)
+    assert sol.residual_norm <= 1e-9
+    assert sol.iterations <= 30
+    assert [e for e, _ in sol.eps_stages] == [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+    assert sum(it for _, it in sol.eps_stages) == sol.iterations
+    assert residual_norm(prob, sol.stack) == pytest.approx(sol.residual_norm, rel=1e-12)
+
+
+def test_eps_path_matches_single_stage_solve(monkeypatch):
+    g = make_interval_grid(1.0, 64)
+    f = sample_slices(g, 7, lambda c, y: np.exp(-60 * (c[:, 0] - 0.3) ** 2)
+                      * (1 + 0.5 * np.sin(np.pi * y)))
+    prob = DiscreteProblem(g, moreau_yosida(make_p_laplacian(1.5), 1e-6, 1e-6), f)
+    path = solve_stack(prob)
+    monkeypatch.setattr(solver, "_EPS_PATH", ())
+    direct = solve_stack(prob)
+    assert len(path.eps_stages) == 5 and len(direct.eps_stages) == 1
+    scale = np.abs(direct.stack.values).max()
+    assert np.abs(path.stack.values - direct.stack.values).max() <= 1e-12 * scale
+    assert path.energy == pytest.approx(direct.energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("law", [
+    moreau_yosida(make_p_laplacian(2), 1e-6, 1e-6),
+    moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6),
+    moreau_yosida(make_p_laplacian(1.5), 1e-2, 1e-6),     # no stage above its eps
+    make_p_laplacian(2),
+    shifted_p(2, 0.5),
+], ids=["my2", "my3", "my1.5-coarse", "p2", "shifted2"])
+def test_laws_without_a_path_solve_in_one_stage(law):
+    g = make_interval_grid(1.0, 32)
+    f = sample_slices(g, 3, lambda c, y: np.exp(-20 * (c[:, 0] - 0.4) ** 2))
+    sol = solve_stack(DiscreteProblem(g, law, f))
+    assert sol.eps_stages == ((getattr(law, "eps", None), sol.iterations),)
+    assert solver._eps_path(law) == []
+
+
+def test_eps_path_stage_laws_are_built_once():
+    law = moreau_yosida(make_p_laplacian(1.5), 1e-6, 1e-6)
+    first = solver._eps_path(law)
+    assert [s.eps for s in first] == [1e-2, 1e-3, 1e-4, 1e-5]
+    assert all(s.tau == law.tau and s.base is law.base for s in first)
+    assert all(a is b for a, b in zip(first, solver._eps_path(law)))
