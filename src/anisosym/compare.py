@@ -153,9 +153,12 @@ def verify_mass_comparison(grid, nl, f_fn=None, f_stack=None, N=7, M=64,
 
     U_list, V_list, F_list = _stage("mass", build_masses, timings)
 
+    ode_counters = {}
+
     def solve_ode():
         system = MassSystem(MassOperator(s_grid, law), h, F_list[1:-1])
-        return solve_mass_system(system, tol=1e-9, init=V_list[1:-1])
+        return solve_mass_system(system, tol=1e-9, init=V_list[1:-1],
+                                 counters=ode_counters)
 
     V_ode = _stage("ode", solve_ode, timings)
 
@@ -177,6 +180,8 @@ def verify_mass_comparison(grid, nl, f_fn=None, f_stack=None, N=7, M=64,
         "u_cg_iterations": u_sol.cg_iterations, "v_cg_iterations": v_sol.cg_iterations,
         "u_fallbacks": u_sol.fallbacks, "v_fallbacks": v_sol.fallbacks,
         "u_eps_stages": u_sol.eps_stages, "v_eps_stages": v_sol.eps_stages,
+        "ode_sweeps": ode_counters["sweeps"],
+        "ode_newton_steps": ode_counters["newton_steps"],
         "ball_measure": ball.total_measure,
     }
     return ComparisonReport(

@@ -14,6 +14,13 @@ with equality for the symmetrized solutions, and the operator is
 T-accretive in the sup norm: resolvents are order preserving and
 non-expansive, which closes the slice-wise comparison through the positive
 definiteness of the second-difference matrix D2 = C^t C.
+
+``solve_mass_system`` solves the coupled system by Gauss-Seidel sweeps of
+the resolvent, smoothed by damped Newton corrections on all N x M interior
+unknowns.  In node-major order the Jacobian is banded with half-bandwidth
+N, an M-matrix for a monotone stencil and non-decreasing beta, and is
+factored in place by LAPACK's band LU (Golub & Van Loan, Matrix
+Computations, section 4.3).
 """
 
 from __future__ import annotations
@@ -22,12 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .rearrange import MassFunction, ScalarField, decreasing_rearrangement, mass_function
 
 
 class ResolventError(RuntimeError):
     pass
+
+
+#: Outer iterations (sweep, residual test, Newton correction) of a mass solve.
+_MAX_OUTER = 50
 
 
 def second_difference_matrix(N):
@@ -89,6 +101,14 @@ class MassOperator:
         cm[M - 1] = 2.0 / dlast ** 2
         cc[M - 1] = -2.0 / dlast ** 2
         cp[M - 1] = 0.0
+        # Monotone stencil: with non-decreasing beta every Jacobian built
+        # from it is an M-matrix, which the comparison argument rests on.
+        bad = (cm < 0) | (cp < 0) | (cm + cc + cp > 1e-12 * np.abs(cc))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ResolventError(
+                f"stencil row {i + 1} is not monotone: cm={cm[i]:.3e}, "
+                f"cc={cc[i]:.3e}, cp={cp[i]:.3e}")
         self._cm, self._cc, self._cp = cm, cc, cp
         self.kappa = s_grid.kappa[1:]
         self.M = M
@@ -257,37 +277,113 @@ class MassSystem:
         return len(self.F)
 
 
-def solve_mass_system(sys, tol=1e-10, max_sweeps=50000, init=None):
-    """Gauss-Seidel over the slices with the resolvent as the inner solve.
+def _mass_residual(op, lam, lamF, V):
+    """Residuals (N, M) of the interior equations at stacked values V (N+2, M+1).
+
+    Row j is  V_j + lam L V_j - lam F_j - (V_{j-1} + V_{j+1})/2  at nodes 1..M.
+    """
+    return (V[1:-1, 1:] + lam * op._apply_odd(V[1:-1]) - lamF
+            - 0.5 * (V[:-2, 1:] + V[2:, 1:]))
+
+
+def _fill_jacobian(ab, op, lam, V):
+    """Write the Jacobian of ``_mass_residual`` at V into ``ab``, in place.
+
+    Unknown k = i*N + j is slice j+1 at node i+1 (node-major), so the
+    Jacobian is banded with kl = ku = N; ``ab`` has shape (3N+1, N*M) in
+    LAPACK gbtrf layout, ab[2N + r - c, c] = J[r, c], with N spare rows for
+    the pivoting fill.  Row k holds 1 - w cc on the diagonal, -1/2 at the
+    neighbouring slices of the same node, -w cp at the next node and -w cm
+    at the previous one (none at node 1, the Dirichlet node), where
+    w = lam kappa^2 beta'(|t|) as in ``MassOperator.resolvent``.
+    """
+    N = V.shape[0] - 2
+    t = -op.kappa * op.second_difference(V[1:-1])
+    w = lam * op.kappa ** 2 * op.nl.dbeta(np.abs(t))
+    bad = ~(np.isfinite(w) & (w >= 0.0))
+    if np.any(bad):
+        j, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise ResolventError(
+            f"beta slope gives w = {w[j, i]:.3e} at slice {j + 1}, node {i + 1}; "
+            "the mass Jacobian needs finite w >= 0")
+    w = w.T.ravel()
+    ab.fill(0.0)
+    if N > 1:
+        couple = np.where(np.arange(1, w.size) % N == 0, 0.0, -0.5)
+        ab[2 * N - 1, 1:] = couple
+        ab[2 * N + 1, :-1] = couple
+    ab[2 * N] = 1.0 - w * np.repeat(op._cc, N)
+    ab[N, N:] = -(w * np.repeat(op._cp, N))[:-N]
+    ab[3 * N, :-N] = -(w * np.repeat(op._cm, N))[N:]
+
+
+def _newton_correction(op, lam, lamF, V, r, ab):
+    """One damped Newton step on all interior unknowns; the corrected V.
+
+    The band LU overwrites ``ab``, so nothing of it outlives the step.  The
+    step length halves until the residual falls to (1 - alpha/4) of its
+    size, the resolvent's rule; returns None when no length does.
+    """
+    N, M = r.shape
+    _fill_jacobian(ab, op, lam, V)
+    lu, piv, info = dgbtrf(ab, N, N, overwrite_ab=1)
+    if info == 0:
+        step, info = dgbtrs(lu, N, N, -r.T.ravel(), piv)
+    if info != 0:
+        raise ResolventError(f"mass Jacobian band LU failed (info {info})")
+    step = step.reshape(M, N).T
+    r_max = np.max(np.abs(r))
+    alpha = 1.0
+    for _ in range(40):
+        V_try = V.copy()
+        V_try[1:-1, 1:] += alpha * step
+        r_try = _mass_residual(op, lam, lamF, V_try)
+        if np.max(np.abs(r_try)) <= (1.0 - 0.25 * alpha) * r_max:
+            return V_try
+        alpha *= 0.5
+    return None
+
+
+def solve_mass_system(sys, tol=1e-10, init=None, counters=None):
+    """Gauss-Seidel over the slices, smoothed by banded Newton corrections.
 
     Each sweep solves  V_j + (h^2/2) L V_j = (h^2/2) F_j + (V_{j-1}+V_{j+1})/2
-    for j = 1..N; the iteration stops when the full-system residual drops
-    below ``tol`` (times the data scale).  ``init`` may carry warm-start
-    values (arrays or MassFunctions) for the interior slices.
+    for j = 1..N with the resolvent; the iteration stops when the
+    full-system residual drops below ``tol`` (times the data scale), and
+    otherwise takes one damped Newton step on all N x M unknowns before the
+    next sweep.  ``init`` may carry warm-start values (arrays or
+    MassFunctions) for the interior slices.  ``counters``, when given,
+    receives the ``sweeps`` and ``newton_steps`` taken.
     """
     op, h, N = sys.op, sys.h, sys.num_interior
     lam = h ** 2 / 2.0
     Fs = [_values(F) for F in sys.F]
+    lamF = lam * np.stack([F[1:] for F in Fs])
     M1 = len(op.s_grid.s_nodes)
     V = np.zeros((N + 2, M1))
     if init is not None:
         for j in range(1, N + 1):
             V[j] = _values(init[j - 1])
     scale = max(1.0, max(float(np.max(np.abs(F))) for F in Fs))
-    for _ in range(max_sweeps):
+    counters = {} if counters is None else counters
+    counters.update(sweeps=0, newton_steps=0)
+    ab = np.zeros((3 * N + 1, N * op.M), order="F")
+    for _ in range(_MAX_OUTER):
+        counters["sweeps"] += 1
         for j in range(1, N + 1):
             G = lam * Fs[j - 1] + 0.5 * (V[j - 1] + V[j + 1])
             V[j] = op.resolvent(lam, G, tol=min(tol, 1e-11))
-        res = 0.0
-        for j in range(1, N + 1):
-            eq = V[j, 1:] + lam * op._apply_odd(V[j]) \
-                - lam * Fs[j - 1][1:] - 0.5 * (V[j - 1, 1:] + V[j + 1, 1:])
-            res = max(res, float(np.max(np.abs(eq))))
+        r = _mass_residual(op, lam, lamF, V)
+        res = float(np.max(np.abs(r)))
         if res <= tol * scale:
             return [V[j] for j in range(N + 2)]
+        corrected = _newton_correction(op, lam, lamF, V, r, ab)
+        if corrected is not None:
+            V = corrected
+            counters["newton_steps"] += 1
     raise ResolventError(
-        f"slice sweeps did not contract below {tol:g} (residual {res:.3e}); "
-        "this usually indicates inconsistent data")
+        f"mass system did not converge below {tol:g} in {_MAX_OUTER} sweeps "
+        f"(residual {res:.3e}); this usually indicates inconsistent data")
 
 
 def subsolution_slack(U_list, F_list, op, h):

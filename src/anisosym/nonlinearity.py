@@ -40,6 +40,8 @@ class Nonlinearity:
     C2: float = 1.0
     dbeta: Callable | None = None
     smooth_eps: float | None = None
+    #: Regularizations of this law by (eps, tau), filled by ``with_eps``.
+    _regularized: dict = field(default_factory=dict, init=False, repr=False)
 
     def a(self, t):
         """Coefficient beta(t)/t, evaluated no closer to 0 than TINY_T."""
@@ -334,13 +336,19 @@ class RegularizedNonlinearity(Nonlinearity):
     base: Nonlinearity
     eps: float
     tau: float
-    _siblings: dict = field(default_factory=dict, init=False, repr=False)
 
     def with_eps(self, eps):
-        """The regularization of the same base and tau at another eps, built once."""
-        if eps not in self._siblings:
-            self._siblings[eps] = moreau_yosida(self.base, eps, self.tau)
-        return self._siblings[eps]
+        """The regularization of the same base and tau at another eps.
+
+        Built once per base law, so every regularization of that base --
+        a fresh ``moreau_yosida`` law on each pipeline call included --
+        shares it.
+        """
+        cache = self.base._regularized
+        key = (eps, self.tau)
+        if key not in cache:
+            cache[key] = moreau_yosida(self.base, eps, self.tau)
+        return cache[key]
 
     def prox(self, t):
         """Proximal point P_eps(t) and envelope value A_eps(t)."""

@@ -1,12 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from anisosym import (MassOperator, MassSystem, ResolventError,
                       difference_factor, make_interval_grid, make_p_laplacian,
                       make_radial_grid, mass_functions_from_stack,
-                      moreau_yosida, random_mass_functions,
+                      moreau_yosida, random_mass_functions, sample_slices,
                       second_difference_matrix, solve_mass_system,
-                      subsolution_slack, t_accretivity_check, zero_stack)
+                      subsolution_slack, t_accretivity_check,
+                      verify_mass_comparison, zero_stack)
+from anisosym.mass_ode import _fill_jacobian, _mass_residual
 
 
 def quad_mass(s_grid, L):
@@ -220,3 +224,133 @@ def test_mass_system_warm_start_agrees_with_cold():
                              init=[c.copy() for c in cold[1:-1]])
     for a, b in zip(cold, warm):
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+def _band_to_dense(ab, N):
+    """Dense matrix of a LAPACK gbtrf band array with kl = ku = N."""
+    n = ab.shape[1]
+    J = np.zeros((n, n))
+    for c in range(n):
+        for r in range(max(0, c - N), min(n, c + N + 1)):
+            J[r, c] = ab[2 * N + r - c, c]
+    return J
+
+
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("n,grading", [(1, "uniform"), (2, "sqrt")])
+def test_mass_jacobian_band_matches_central_differences(N, n, grading):
+    M = 9
+    s_grid = make_radial_grid(n, 1.0, M, grading=grading)
+    op = MassOperator(s_grid, make_p_laplacian(3))
+    rng = np.random.default_rng(N + 10 * n)
+    V = np.zeros((N + 2, M + 1))
+    # Strictly concave slices keep t > 0, away from the kink of the odd beta.
+    V[1:-1] = random_mass_functions(op, N, rng) \
+        + rng.uniform(0.5, 1.5, (N, 1)) * quad_mass(s_grid, 1.0)
+    lam = 0.5 / (N + 1) ** 2
+    lamF = lam * rng.uniform(0.0, 1.0, (N, M))
+    ab = np.zeros((3 * N + 1, N * M), order="F")
+    _fill_jacobian(ab, op, lam, V)
+    assert not np.any(ab[:N])                       # spare rows for the LU fill
+    J = _band_to_dense(ab, N)
+
+    def R(x):
+        W = V.copy()
+        W[1:-1, 1:] = x.reshape(M, N).T             # node-major unknowns
+        return _mass_residual(op, lam, lamF, W).T.ravel()
+
+    x0 = V[1:-1, 1:].T.ravel()
+    J_fd = np.empty_like(J)
+    for k in range(N * M):
+        e = np.zeros(N * M)
+        e[k] = 1e-6 * max(1.0, abs(x0[k]))
+        J_fd[:, k] = (R(x0 + e) - R(x0 - e)) / (2.0 * e[k])
+    assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J))
+
+
+def _ode31_system(centre=0.3, amplitude=1.0):
+    """The mass system of the ode31 bench configuration, with its warm start.
+
+    Interval (0, 1) with 64 cells, N = 31, M = 64, p = 3 regularized at
+    eps = tau = 1e-6; the warm start is the rearranged symmetrized solve,
+    as in ``verify_mass_comparison``.
+    """
+    grid = make_interval_grid(1.0, 64)
+
+    def f_fn(c, y):
+        return amplitude * np.exp(-60 * (c[:, 0] - centre) ** 2) * (1 + 0.5 * np.sin(np.pi * y))
+
+    rep = verify_mass_comparison(grid, make_p_laplacian(3), f_fn=f_fn, N=31, M=64,
+                                 grading="uniform")
+    f = sample_slices(grid, 31, f_fn)
+    s_grid = make_radial_grid(1, grid.total_measure, 64)
+    F = mass_functions_from_stack(f, s_grid)[1:-1]
+    op = MassOperator(s_grid, moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6))
+    init = [np.concatenate([[0.0], v]) for v in rep.V]
+    return MassSystem(op, f.h, F), init
+
+
+@pytest.fixture(scope="module")
+def ode31():
+    return _ode31_system()
+
+
+def test_mass_system_ode31_agrees_with_tight_solve(ode31):
+    # Gauss-Seidel alone stopped 1.6e-7 from the tight solve; two Newton
+    # corrections leave 1.9e-9, and a third reaches rounding.
+    system, init = ode31
+    ref = solve_mass_system(system, tol=1e-14, init=init)
+    for tol, err in ((1e-9, 1e-8), (1e-11, 1e-12)):
+        V = solve_mass_system(system, tol=tol, init=init)
+        assert max(np.max(np.abs(a - b)) for a, b in zip(V, ref)) <= err
+
+
+def test_mass_system_ode31_cold_start_sweeps(ode31):
+    system, _ = ode31
+    counters = {}
+    solve_mass_system(system, tol=1e-9, counters=counters)
+    assert counters["sweeps"] <= 15
+    assert counters["newton_steps"] == counters["sweeps"] - 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mass_system_jittered_ode31_warm_start_sweeps(seed):
+    # Centre moved by up to 0.01 and amplitude by up to 3 %: Gauss-Seidel
+    # alone took 180-290 sweeps on such data.
+    rng = np.random.default_rng(seed)
+    system, init = _ode31_system(0.3 + rng.uniform(-0.01, 0.01), rng.uniform(0.97, 1.03))
+    counters = {}
+    solve_mass_system(system, tol=1e-9, init=init, counters=counters)
+    assert counters["sweeps"] <= 5
+
+
+def test_mass_system_solution_is_a_sweep_fixed_point(ode31):
+    system, init = ode31
+    tol = 1e-9
+    V = solve_mass_system(system, tol=tol, init=init)
+    op, lam = system.op, system.h ** 2 / 2.0
+    Fs = [np.asarray(F.values) for F in system.F]
+    scale = max(1.0, max(float(np.max(np.abs(F))) for F in Fs))
+    W = [v.copy() for v in V]
+    for j in range(1, system.num_interior + 1):
+        W[j] = op.resolvent(lam, lam * Fs[j - 1] + 0.5 * (W[j - 1] + W[j + 1]), tol=1e-11)
+    assert max(np.max(np.abs(a - b)) for a, b in zip(V, W)) <= tol * scale
+
+
+def test_mass_operator_rejects_non_monotone_stencil():
+    # Nodes out of order make cm < 0 in row 1: the Jacobian is no M-matrix.
+    s_grid = SimpleNamespace(s_nodes=np.array([0.0, -0.1, 0.5, 1.0]),
+                             num_intervals=3, kappa=np.ones(4))
+    with pytest.raises(ResolventError, match="stencil row 1 "):
+        MassOperator(s_grid, make_p_laplacian(2))
+
+
+def test_mass_jacobian_rejects_decreasing_beta():
+    from anisosym import Nonlinearity
+    nl = Nonlinearity("decreasing", 2.0, beta=lambda t: -np.asarray(t, float),
+                      antideriv=lambda t: -np.asarray(t, float) ** 2 / 2,
+                      dbeta=lambda t: -np.ones_like(np.asarray(t, float)))
+    op = MassOperator(make_radial_grid(1, 1.0, 8), nl)
+    ab = np.zeros((7, 16), order="F")
+    with pytest.raises(ResolventError, match="slice 1, node 1;"):
+        _fill_jacobian(ab, op, 0.1, np.zeros((4, 9)))

@@ -482,3 +482,9 @@ def test_eps_path_stage_laws_are_built_once():
     assert [s.eps for s in first] == [1e-2, 1e-3, 1e-4, 1e-5]
     assert all(s.tau == law.tau and s.base is law.base for s in first)
     assert all(a is b for a, b in zip(first, solver._eps_path(law)))
+    # A fresh regularization of the same base, as each pipeline call builds,
+    # shares the stage laws; another tau does not.
+    again = moreau_yosida(law.base, 1e-6, 1e-6)
+    assert all(a is b for a, b in zip(first, solver._eps_path(again)))
+    other = solver._eps_path(moreau_yosida(law.base, 1e-6, 1e-4))
+    assert all(s.tau == 1e-4 and s is not a for s, a in zip(other, first))
