@@ -182,7 +182,7 @@ def verify_mass_comparison(grid, nl, f_fn=None, f_stack=None, N=7, M=64,
         "u_eps_stages": u_sol.eps_stages, "v_eps_stages": v_sol.eps_stages,
         "ode_sweeps": ode_counters["sweeps"],
         "ode_newton_steps": ode_counters["newton_steps"],
-        "ball_measure": ball.total_measure,
+        "ball_cells": ball.num_cells, "ball_measure": ball.total_measure,
     }
     return ComparisonReport(
         s_grid.s_nodes[1:], Uarr, Varr, gap, worst, mutual, slack_c, budget,

@@ -5,7 +5,9 @@ Three discretizations live here:
 * ``CellGrid`` -- a uniform cell-centered grid on an interval, square or
   disk-mask domain in R^n (n = 1 or 2).  Cells all have measure dx^n and
   carry neighbor indices for finite differences; the domain wall sits at
-  distance dx/2 from a boundary-cell center.
+  distance dx/2 from a boundary-cell center.  The symmetrized image of an
+  m-cell domain is a ball of exactly m cells of the same measure, so the
+  Steiner rearrangement of each slice is a permutation of its values.
 * ``RadialGrid`` -- a partition of (0, |domain|), the measure axis on which
   decreasing rearrangements and their integrals live.
 * ``SliceStack`` -- N interior copies of a scalar field plus two zero
@@ -191,28 +193,46 @@ def make_disk_grid(radius, m_per_axis):
     return _lattice_grid(keep, (ax, ax), dx, "disk")
 
 
-def make_ball_grid(n, measure, resolution):
-    """Ball-shaped grid of (approximately) the given measure, centered at 0.
+def make_ball_grid(n, measure, cells):
+    """Ball grid of exactly ``cells`` cells and exactly the given measure.
 
-    For n = 1 this is the symmetric interval (-measure/2, measure/2) and the
-    measure is matched exactly; for n = 2 it is a disk-mask grid whose total
-    measure approaches the target as the resolution grows.
+    For n = 1 this is the symmetric interval (-measure/2, measure/2).  For
+    n = 2 it is the ``cells`` cells of the lattice of spacing
+    sqrt(measure/cells), centered at the origin, whose centers lie nearest
+    to 0.  Cells are ranked by the integer (2i+1)^2 + (2j+1)^2; ties go by
+    the angle modulo pi/2 and then by the quadrant, so the cells of a
+    rotation orbit are taken together and the grid has 4-fold rotational
+    symmetry whenever ``cells`` is a multiple of 4.
     """
     if n == 1:
-        return make_interval_grid(measure, resolution, centered=True)
-    if n == 2:
-        return make_disk_grid(np.sqrt(measure / np.pi), resolution)
-    raise ValueError(f"dimension must be 1 or 2, got {n}")
+        return make_interval_grid(measure, cells, centered=True)
+    if n != 2:
+        raise ValueError(f"dimension must be 1 or 2, got {n}")
+    if measure <= 0:
+        raise ValueError("measure must be positive")
+    if cells < 4:
+        raise ValueError(f"need at least 4 cells, got {cells}")
+    dx = float(np.sqrt(measure / cells))
+    half = int(np.ceil(np.sqrt(cells / np.pi))) + 2
+    odd = 2 * np.arange(-half, half) + 1           # 2*center/dx per axis
+    yy, xx = np.meshgrid(odd, odd, indexing="ij")
+    # Rotate each center by quarter turns into the open first quadrant; the
+    # image labels its rotation orbit and the turn count its member.
+    turns = np.select([(xx > 0) & (yy > 0), (xx < 0) & (yy > 0), (xx < 0) & (yy < 0)],
+                      [0, 1, 2], 3)
+    rep_y = np.choose(turns, [yy, -xx, -yy, xx])
+    order = np.lexsort((turns.ravel(), rep_y.ravel(), (xx ** 2 + yy ** 2).ravel()))
+    keep = np.zeros(xx.size, dtype=bool)
+    keep[order[:cells]] = True
+    ax = odd * (dx / 2.0)
+    return _lattice_grid(keep.reshape(xx.shape), (ax, ax), dx, "disk")
 
 
-def symmetrized_grid(grid, resolution=None):
-    """Ball grid of the same measure as ``grid`` (the grid itself for disks)."""
+def symmetrized_grid(grid):
+    """The ball of ``grid``'s cell count and measure (the grid itself for disks)."""
     if grid.kind == "disk":
         return grid
-    if grid.n == 1:
-        return make_interval_grid(grid.total_measure, grid.num_cells, centered=True)
-    res = resolution if resolution is not None else int(np.ceil(2 * np.sqrt(grid.num_cells)))
-    return make_ball_grid(2, grid.total_measure, res)
+    return make_ball_grid(grid.n, grid.total_measure, grid.num_cells)
 
 
 @dataclass(eq=False)

@@ -169,13 +169,15 @@ def schwarz_rearrangement(field, target, method="rank"):
     """Radially non-increasing field on a ball grid, equimeasurable with u.
 
     ``method="rank"`` assigns the k-th largest value to the k-th cell in the
-    |x|-ordering -- a permutation when the cell counts match, so the result
-    is exactly equimeasurable (the right choice for measure-side work:
-    data stacks, mass functions, norms).  ``method="sample"`` evaluates the
-    exact step function at each cell's own measure coordinate, giving a
-    true function of the radius: equimeasurable only up to grid error, but
-    free of the lattice-ordering noise that pollutes gradient functionals
-    of the rank assignment.
+    |x|-ordering -- a permutation when the cell counts match, as they do on
+    ``symmetrized_grid`` of any interval or square, so the result is exactly
+    equimeasurable (the right choice for measure-side work: data stacks,
+    mass functions, norms).  Targets of another cell count sample the
+    exact step function at each cell's measure midpoint instead.
+    ``method="sample"`` evaluates the exact step function at each cell's
+    own measure coordinate, giving a true function of the radius:
+    equimeasurable only up to grid error, but free of the lattice-ordering
+    noise that pollutes gradient functionals of the rank assignment.
     """
     field.require_nonneg()
     mismatch = abs(target.total_measure - field.grid.total_measure)

@@ -3,9 +3,10 @@ import pytest
 
 from anisosym import (MassOperator, epsilon_tau_sweep,
                       h_refinement_study, make_ball_grid, make_interval_grid,
-                      make_p_laplacian, make_radial_grid, mass_functions_from_stack,
-                      moreau_yosida, mollify_stack, pipeline_subsolution_slack,
-                      sample_slices, verify_lq_consequence,
+                      make_p_laplacian, make_radial_grid, make_square_grid,
+                      mass_functions_from_stack, moreau_yosida, mollify_stack,
+                      pipeline_subsolution_slack, sample_slices,
+                      steiner_rearrangement, verify_lq_consequence,
                       verify_mass_comparison, zero_stack)
 
 
@@ -83,6 +84,39 @@ def test_report_csv_and_json(tmp_path):
     # The mass-ODE solve records its sweeps and the Newton steps between them.
     assert payload["meta"]["ode_sweeps"] >= 1
     assert 0 <= payload["meta"]["ode_newton_steps"] < payload["meta"]["ode_sweeps"]
+    # The ball of a 32-cell interval is the centered interval of 32 cells.
+    assert payload["meta"]["ball_cells"] == 32
+    assert payload["meta"]["ball_measure"] == pytest.approx(1.0, rel=1e-14)
+
+
+def square_bump(c, y):
+    d2 = (c[:, 0] - 0.85) ** 2 + (c[:, 1] - 0.5) ** 2
+    return np.exp(-8 * d2) * (1 + 0.5 * np.sin(np.pi * y))
+
+
+@pytest.mark.parametrize("k", [12, 13])
+def test_square_symmetrizes_onto_ball_of_its_own_cells(tmp_path, k):
+    g = make_square_grid(1.0, k)
+    rep = verify_mass_comparison(g, make_p_laplacian(3), f_fn=square_bump, N=3, M=16)
+    assert rep.passed
+    ball = rep.v_stack.grid
+    assert ball.kind == "disk" and ball.num_cells == k * k
+    assert ball.total_measure == pytest.approx(g.total_measure, rel=1e-14)
+    assert rep.meta["ball_cells"] == k * k
+    assert np.all(np.abs(ball.centers.mean(axis=0)) < ball.dx)
+    # Each rearranged slice is a permutation of the square's slice.
+    f = sample_slices(g, 3, square_bump)
+    f_star = steiner_rearrangement(f, ball)
+    assert np.array_equal(np.sort(f_star.values, axis=1), np.sort(f.values, axis=1))
+    if k % 2 == 0:
+        # Whole rotation orbits only: the quarter turn maps the ball onto itself.
+        odd = {tuple(p) for p in np.rint(2 * ball.centers / ball.dx).astype(int)}
+        assert {(-y, x) for x, y in odd} == odd
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    rep.write_csv(paths[0])
+    verify_mass_comparison(g, make_p_laplacian(3), f_fn=square_bump, N=3,
+                           M=16).write_csv(paths[1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_epsilon_tau_sweep_monotone_energy_and_cauchy():
