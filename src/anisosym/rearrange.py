@@ -169,11 +169,10 @@ def schwarz_rearrangement(field, target, method="rank"):
     """Radially non-increasing field on a ball grid, equimeasurable with u.
 
     ``method="rank"`` assigns the k-th largest value to the k-th cell in the
-    |x|-ordering -- a permutation when the cell counts match, as they do on
-    ``symmetrized_grid`` of any interval or square, so the result is exactly
-    equimeasurable (the right choice for measure-side work: data stacks,
-    mass functions, norms).  Targets of another cell count sample the
-    exact step function at each cell's measure midpoint instead.
+    |x|-ordering -- a permutation, so the target must hold as many cells as
+    the source, as ``symmetrized_grid`` of any interval, square or disk does.
+    The result is exactly equimeasurable (the right choice for measure-side
+    work: data stacks, mass functions, norms).
     ``method="sample"`` evaluates the exact step function at each cell's
     own measure coordinate, giving a true function of the radius:
     equimeasurable only up to grid error, but free of the lattice-ordering
@@ -187,17 +186,15 @@ def schwarz_rearrangement(field, target, method="rank"):
             f"{field.grid.total_measure:g} by more than 2%")
     if method not in ("rank", "sample"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "rank" and target.num_cells != field.grid.num_cells:
+        raise ValueError(
+            f"rank rearrangement needs equal cell counts, got target "
+            f"{target.num_cells} and source {field.grid.num_cells}")
     radii = np.sqrt((target.centers ** 2).sum(axis=1))
     out = np.empty(target.num_cells)
-    if method == "rank" and target.num_cells == field.grid.num_cells:
+    if method == "rank":
         order = np.argsort(radii, kind="stable")
-        ranked = np.sort(field.values)[::-1]
-        out[order] = ranked
-    elif method == "rank":
-        order = np.argsort(radii, kind="stable")
-        steps = StepData.from_field(field)
-        s_mid = (np.arange(target.num_cells) + 0.5) * target.cell_measure
-        out[order] = steps.value_at(s_mid)
+        out[order] = np.sort(field.values)[::-1]
     else:
         steps = StepData.from_field(field)
         s_c = BALL_MEASURE[target.n] * radii ** target.n

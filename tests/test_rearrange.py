@@ -140,6 +140,13 @@ def test_schwarz_rejects_measure_mismatch():
         schwarz_rearrangement(ScalarField(grid, np.ones(8)), target)
 
 
+def test_schwarz_rank_rejects_cell_count_mismatch():
+    grid = make_interval_grid(1.0, 8)
+    target = make_ball_grid(1, 1.0, 16)
+    with pytest.raises(ValueError, match="equal cell counts"):
+        schwarz_rearrangement(ScalarField(grid, np.ones(8)), target)
+
+
 def test_rearrangement_rejects_negative_values():
     grid = make_interval_grid(1.0, 8)
     field = ScalarField(grid, np.linspace(-1, 1, 8))
