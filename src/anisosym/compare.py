@@ -179,6 +179,7 @@ def verify_mass_comparison(grid, nl, f_fn=None, f_stack=None, N=7, M=64,
         "u_iterations": u_sol.iterations, "v_iterations": v_sol.iterations,
         "u_cg_iterations": u_sol.cg_iterations, "v_cg_iterations": v_sol.cg_iterations,
         "u_fallbacks": u_sol.fallbacks, "v_fallbacks": v_sol.fallbacks,
+        "u_factorizations": u_sol.factorizations, "v_factorizations": v_sol.factorizations,
         "u_eps_stages": u_sol.eps_stages, "v_eps_stages": v_sol.eps_stages,
         "ode_sweeps": ode_counters["sweeps"],
         "ode_newton_steps": ode_counters["newton_steps"],

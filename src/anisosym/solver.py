@@ -20,7 +20,11 @@ built once per solve.  Minimization is by damped Newton with Armijo
 backtracking; the Hessian is block tridiagonal in the slice index.  Newton
 directions come from one sparse LU of the Hessian, or, on 2-D
 cross-sections, from CG preconditioned in the sine modes of the y-coupling
-(``_newton_direction``).
+(``_newton_direction``).  There the mode LUs are kept across the Newton
+steps of a stage and rebuilt only when CG stalls on them (a lagged
+preconditioner, Knoll & Keyes, J. Comput. Phys. 193 (2004)), and each
+step's CG stops at an Eisenstat-Walker forcing term (SIAM J. Sci. Comput.
+17 (1996)); the warm start and the final polish solve to 1e-12.
 
 Nonlinearities must carry two-sided slope bounds on beta (``smooth_eps``);
 degenerate laws are solved through their Moreau-Yosida regularization.  When
@@ -42,6 +46,7 @@ from .nonlinearity import RegularizedNonlinearity, make_p_laplacian
 
 _ARMIJO = 1e-4
 _CG_MAXITER = 200                 # then the mode-preconditioned CG hands over to LU
+_LAGGED_MAXITER = 30              # Newton-step CG on kept mode LUs; then they are rebuilt
 #: Regularization eps of the path stages, the largest first; a solve takes
 #: those above its own law's eps.
 _EPS_PATH = tuple(10.0 ** -k for k in range(2, 13))
@@ -86,7 +91,8 @@ class DiscreteSolution:
     energies: tuple
     converged: bool
     cg_iterations: int             # preconditioned CG iterations over all linear solves
-    fallbacks: int                 # CG solves handed to LU, plus failed LUs
+    fallbacks: int                 # CG solves handed to LU, failed LUs, non-descent steps
+    factorizations: int            # sparse LUs: mode LUs plus full-Hessian LUs
     eps_stages: tuple              # (eps, Newton iterations) per stage, the law's own last
 
     def __post_init__(self):
@@ -205,21 +211,24 @@ class _StackFunctional:
     def _slots(self, z):
         """Every slice's x-block in stencil slots, shape (k, 3^n, m)."""
         d, mag = self._sample(z)
-        a, db = self.nl.a(mag), self.nl.dbeta(mag)
-        ghat = d / np.maximum(mag, 1e-300)[..., None]
-        ghat[mag < 1e-14] = 0.0
+        a = self.nl.a(mag)
+        da = self.nl.dbeta(mag) - a
+        d /= np.maximum(mag, 1e-300)[..., None]          # unit gradients, in place
+        d[mag < 1e-14] = 0.0
+        del mag
         slots = np.zeros((self.k, 3 ** self.grid.n, self.m))
         for q, k1, k2, sc1, sc2, kinds in self._terms():
-            c = self.weight * self.mc * ((a[q] if k1 == k2 else 0.0) + (db[q] - a[q])
-                                         * ghat[q, ..., k1] * ghat[q, ..., k2]) * sc1 * sc2
+            c = self.weight * self.mc * ((a[q] if k1 == k2 else 0.0) + da[q]
+                                         * d[q, ..., k1] * d[q, ..., k2]) * sc1 * sc2
             for rows, s, sel, sign, _ in kinds:
                 slots[:, s, rows] += sign * c[:, sel]
         return slots
 
     def hessian(self, z):
         """The assembled CSC Hessian and the mean of the slice x-blocks."""
-        # _slots frees its per-cell arrays before H and the mode LUs exist (lower peak
-        # RSS).  In C order, data.sum(axis=0) adds the blocks in slice order.
+        # The kept mode LUs are alive here, so _slots holds few per-cell arrays
+        # at once and frees them before H exists (lower peak RSS).  In C order,
+        # data.sum(axis=0) adds the blocks in slice order.
         data = self._slots(z).reshape(self.k, -1).take(self._perm, axis=1)
         j = np.arange(self.k, dtype=np.int32)[:, None]          # slice of each block
         indices = (self._indices + j * self.m).ravel()
@@ -236,20 +245,36 @@ class _StackFunctional:
         return float(np.max(np.sqrt(np.sum(g ** 2, axis=1) / self.mc)))
 
 
-def _mode_pcg(func, H, A, rhs, counters):
+class _ModeFactors:
+    """The N mode LUs of ``A + mc*lam_i*I`` for a mean block A, kept across steps.
+
+    Empty until ``refactor``; one store serves the Newton steps of one stage.
+    """
+
+    S = lam = lus = None
+
+    def refactor(self, func, A, counters):
+        if self.S is None:
+            self.S, self.lam = _y_modes(func.k, func.h)
+        self.lus = None                # free the old set before building the new one
+        eye = sp.eye(func.m, format="csc")
+        self.lus = [spla.splu(A + (func.mc * li) * eye, permc_spec="MMD_AT_PLUS_A",
+                              diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+                    for li in self.lam]
+        counters["factorizations"] += len(self.lus)
+
+
+def _mode_pcg(func, H, rhs, modes, rtol, maxiter, counters):
     """Solve H d = rhs by CG preconditioned in the DST-I modes of the y-coupling.
 
-    The preconditioner replaces every slice block by their mean A; in the
-    sine basis of y it is then block diagonal, one sparse m x m matrix
-    ``A + mc*lam_i*I`` per mode, and exact when all blocks agree (p = 2).
-    Returns None when CG does not converge within ``_CG_MAXITER``.
+    The preconditioner replaces every slice block by a mean A; in the sine
+    basis of y it is then block diagonal, one sparse m x m matrix
+    ``A + mc*lam_i*I`` per mode (the LUs in ``modes``), and exact when all
+    blocks agree with A (p = 2).  Returns None when CG does not reach
+    ``rtol`` within ``maxiter`` iterations.
     """
     k, m = func.k, func.m
-    S, lam = _y_modes(k, func.h)
-    eye = sp.eye(m, format="csc")
-    lus = [spla.splu(A + (func.mc * li) * eye, permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-           for li in lam]
+    S, lus = modes.S, modes.lus
 
     def precondition(r):
         R = S @ r.reshape(k, m)
@@ -261,27 +286,38 @@ def _mode_pcg(func, H, A, rhs, counters):
         counters["cg_iterations"] += 1
 
     M = spla.LinearOperator(H.shape, matvec=precondition, dtype=float)
-    d, info = spla.cg(H, rhs, rtol=1e-12, atol=0.0, maxiter=_CG_MAXITER, M=M,
-                      callback=count)
+    d, info = spla.cg(H, rhs, rtol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=count)
     return d if info == 0 else None
 
 
-def _newton_direction(func, z, g, counters):
+def _newton_direction(func, z, g, counters, modes=None, rtol=1e-12,
+                      kept_maxiter=_LAGGED_MAXITER):
     """The Newton direction d with H(z) d = -g, or None if the LU fails.
 
-    2-D stacks (n = 2 with a y-coupling) use mode-preconditioned CG: one
-    LU of the whole Hessian there has 3-D-like fill.  Everything else, and
-    a CG solve that does not converge, uses one sparse LU of the Hessian.
-    ``counters`` gains the CG iterations and one fallback per CG-to-LU
+    2-D stacks (n = 2 with a y-coupling) use mode-preconditioned CG to
+    relative residual ``rtol``: one LU of the whole Hessian there has
+    3-D-like fill.  CG first runs on the mode LUs kept in ``modes`` for at
+    most ``kept_maxiter`` iterations; if there are none or CG stalls, they
+    are rebuilt from this step's mean block and CG reruns.  Without
+    ``modes`` the step uses a fresh store.  Everything else, and a CG solve
+    that does not converge, uses one sparse LU of the Hessian.  ``counters``
+    gains the CG iterations, the sparse LUs, and one fallback per CG-to-LU
     switch and per failed LU.
     """
     H, A = func.hessian(z)
     rhs = -g.ravel()
     if func.Q is not None and func.grid.n == 2:
-        d = _mode_pcg(func, H, A, rhs, counters)
+        if modes is None:
+            modes = _ModeFactors()
+        d = None if modes.lus is None else _mode_pcg(func, H, rhs, modes, rtol,
+                                                     kept_maxiter, counters)
+        if d is None:
+            modes.refactor(func, A, counters)
+            d = _mode_pcg(func, H, rhs, modes, rtol, _CG_MAXITER, counters)
         if d is not None:
             return d
         counters["fallbacks"] += 1
+    counters["factorizations"] += 1
     try:
         return spla.splu(H).solve(rhs)
     except RuntimeError:
@@ -293,8 +329,13 @@ def _minimize(func, z0, tol, max_iter, counters, polish=True):
     """Damped Newton with Armijo backtracking; returns (z, info).
 
     ``polish`` adds one Newton step after convergence; the intermediate
-    stages of an eps path skip it.
+    stages of an eps path skip it.  Newton steps solve to the forcing term
+    ``max(1e-12, min(1e-2, 0.1 res))`` relative; the polish solves to 1e-12.
+    All share one store of mode LUs.  A direction that is not a descent
+    direction is replaced by the scaled gradient step and counted as a
+    fallback.
     """
+    modes = _ModeFactors()
     z = z0.copy()
     J = func.energy(z)
     energies = [J]
@@ -304,7 +345,8 @@ def _minimize(func, z0, tol, max_iter, counters, polish=True):
     converged = res <= tol
     while not converged and iterations < max_iter:
         gflat = g.ravel()
-        d = _newton_direction(func, z, g, counters)
+        d = _newton_direction(func, z, g, counters, modes,
+                              rtol=max(1e-12, min(1e-2, 0.1 * res)))
         if d is None:
             d = -gflat / func.mc
         slope = float(d @ gflat)
@@ -313,6 +355,7 @@ def _minimize(func, z0, tol, max_iter, counters, polish=True):
         # near the minimizer must not kick the iterate off the Newton path.
         floor = 1e-12 * float(np.linalg.norm(d) * np.linalg.norm(gflat))
         if not np.isfinite(slope) or slope >= -floor:
+            counters["fallbacks"] += 1
             d = -gflat / func.mc
             slope = float(d @ gflat)
         if -slope <= 64.0 * np.finfo(float).eps * max(abs(J), 1e-30):
@@ -354,8 +397,11 @@ def _minimize(func, z0, tol, max_iter, counters, polish=True):
     if polish and res > 1e-13:
         # One polishing step: quadratic convergence typically lands the
         # residual near machine precision, which the positivity and
-        # comparison properties rely on.
-        d = _newton_direction(func, z, g, counters)
+        # comparison properties rely on.  Its CG may take the full cap on the
+        # kept mode LUs before rebuilding them: LUs built for one last solve
+        # do not pay off, and building them beside the freed set raised peak
+        # RSS by about 4 MB on a 32 x 32 square.
+        d = _newton_direction(func, z, g, counters, modes, kept_maxiter=_CG_MAXITER)
         if d is not None:
             z_try = z + d.reshape(z.shape)
             res_try = func.dual_norm(func.gradient(z_try))
@@ -443,7 +489,7 @@ def solve_stack(prob, tol=1e-9, max_iter=500, z0=None):
     """
     _require_smooth(prob.nl)
     func = _StackFunctional(prob.grid, prob.nl, prob.f.interior, prob.h)
-    counters = {"cg_iterations": 0, "fallbacks": 0}
+    counters = {"cg_iterations": 0, "fallbacks": 0, "factorizations": 0}
     z, info = _solve(func, z0, tol, max_iter, counters)
     vals = np.zeros((prob.num_interior + 2, prob.grid.num_cells))
     vals[1:-1] = z
@@ -451,14 +497,14 @@ def solve_stack(prob, tol=1e-9, max_iter=500, z0=None):
                             info["residual"], info["iterations"],
                             info["energies"], info["converged"],
                             counters["cg_iterations"], counters["fallbacks"],
-                            info["eps_stages"])
+                            counters["factorizations"], info["eps_stages"])
 
 
 def solve_cross_section(grid, nl, f_values, tol=1e-9, max_iter=500):
     """Single Dirichlet solve in x only: -div(a(|grad u|) grad u) = f."""
     _require_smooth(nl)
     func = _StackFunctional(grid, nl, np.asarray(f_values, dtype=float)[None, :], None)
-    counters = {"cg_iterations": 0, "fallbacks": 0}
+    counters = {"cg_iterations": 0, "fallbacks": 0, "factorizations": 0}
     z, info = _solve(func, None, tol, max_iter, counters)
     info.update(counters)
     return z[0], info

@@ -81,6 +81,9 @@ def test_report_csv_and_json(tmp_path):
     # Interval stacks solve by LU: no CG iterations, and no fallback taken.
     for key in ("u_cg_iterations", "v_cg_iterations", "u_fallbacks", "v_fallbacks"):
         assert payload["meta"][key] == 0
+    # ... but one LU of the whole Hessian per linear solve, the warm start's included.
+    for key in ("u_factorizations", "v_factorizations"):
+        assert payload["meta"][key] >= 1
     # The mass-ODE solve records its sweeps and the Newton steps between them.
     assert payload["meta"]["ode_sweeps"] >= 1
     assert 0 <= payload["meta"]["ode_newton_steps"] < payload["meta"]["ode_sweeps"]

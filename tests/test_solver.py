@@ -285,7 +285,7 @@ def disk_problem(p, N=5):
 
 
 def new_counters():
-    return {"cg_iterations": 0, "fallbacks": 0}
+    return {"cg_iterations": 0, "fallbacks": 0, "factorizations": 0}
 
 
 @pytest.mark.parametrize("p", [1.5, 3])
@@ -361,6 +361,58 @@ def test_failed_lu_is_counted(monkeypatch):
     sol = solve_stack(prob)          # the warm start's LU fails: zero start
     assert sol.fallbacks == 1
     assert np.max(np.abs(sol.stack.values - ref.stack.values)) <= 1e-9
+
+
+def test_non_descent_direction_is_counted(monkeypatch):
+    g = make_interval_grid(1.0, 24)
+    f = sample_slices(g, 3, lambda c, y: np.exp(-20 * (c[:, 0] - 0.4) ** 2))
+    prob = DiscreteProblem(g, moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6), f)
+    ref = solve_stack(prob)
+    real = solver._newton_direction
+    calls = []
+
+    def ascent_once(*args, **kwargs):
+        d = real(*args, **kwargs)
+        calls.append(None)
+        return -d if len(calls) == 2 else d      # call 1 is the warm start's
+
+    monkeypatch.setattr(solver, "_newton_direction", ascent_once)
+    sol = solve_stack(prob)          # the first Newton step becomes a gradient step
+    assert sol.fallbacks == 1
+    assert np.max(np.abs(sol.stack.values - ref.stack.values)) <= 1e-9
+
+
+@pytest.mark.parametrize("p", [1.5, 3])
+def test_kept_mode_lus_factor_less_and_give_the_same_stack(p, monkeypatch):
+    prob = disk_problem(p)
+    sol = solve_stack(prob)
+    # Fresh mode LUs and a 1e-12 CG solve at every step, as without a store.
+    real = solver._newton_direction
+    monkeypatch.setattr(solver, "_newton_direction",
+                        lambda func, z, g, counters, *_, **__: real(func, z, g, counters))
+    ref = solve_stack(prob)
+    k = prob.num_interior
+    assert 0 < sol.factorizations < k * (sol.iterations + 2) <= ref.factorizations + k
+    assert sol.fallbacks == 0 and sol.iterations == ref.iterations
+    assert sol.residual_norm <= 1e-12
+    diff = np.max(np.abs(sol.stack.values - ref.stack.values))
+    assert diff <= 1e-12 * np.max(np.abs(ref.stack.values))
+
+
+@pytest.mark.parametrize("p", [1.5, 3])
+def test_stale_mode_lus_are_rebuilt(p):
+    prob = disk_problem(p)
+    func = solver._StackFunctional(prob.grid, prob.nl, prob.f.interior, prob.h)
+    z = solver._warm_start(func, new_counters())
+    g = func.gradient(z)
+    modes = solver._ModeFactors()
+    modes.refactor(func, sp.identity(func.m, format="csc"), new_counters())   # a wrong block
+    counters = new_counters()
+    d = solver._newton_direction(func, z, g, counters, modes)
+    H, _ = func.hessian(z)
+    ref = spla.splu(H).solve(-g.ravel())
+    assert counters["factorizations"] == func.k and counters["fallbacks"] == 0
+    assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 FUNCTIONAL_GRIDS = {"interval": lambda: make_interval_grid(1.0, 24),
