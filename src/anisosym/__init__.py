@@ -24,9 +24,8 @@ from .rearrange import (MassFunction, Profile, ScalarField, StepData,
                         l1_profile_distance, mass_function, polya_szego_gap,
                         schwarz_rearrangement, steiner_rearrangement)
 from .solver import (DiscreteProblem, DiscreteSolution, SolverError,
-                     YInterpolant, radial_order_violation, residual_norm,
-                     solve_cross_section, solve_stack, solve_symmetrized,
-                     solve_tau_extrapolated, stack_energy, y_interpolant)
+                     YInterpolant, radial_order_violation, solve_stack,
+                     solve_symmetrized, y_interpolant)
 from .mass_ode import (AccretivityReport, MassOperator, MassSystem,
                        ResolventError, difference_factor,
                        mass_functions_from_stack, random_mass_functions,

@@ -20,7 +20,9 @@ the resolvent, smoothed by damped Newton corrections on all N x M interior
 unknowns.  In node-major order the Jacobian is banded with half-bandwidth
 N, an M-matrix for a monotone stencil and non-decreasing beta, and is
 factored in place by LAPACK's band LU (Golub & Van Loan, Matrix
-Computations, section 4.3).
+Computations, section 4.3).  The resolvent U + lam L U = G is the N = 1 case
+of the same system (lam F_1 = G, zero outer slices) and takes the same
+Newton step.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
 
 from .rearrange import MassFunction, ScalarField, decreasing_rearrangement, mass_function
 
@@ -40,6 +41,8 @@ class ResolventError(RuntimeError):
 
 #: Outer iterations (sweep, residual test, Newton correction) of a mass solve.
 _MAX_OUTER = 50
+#: Newton steps of one resolvent solve.
+_MAX_NEWTON = 80
 
 
 def second_difference_matrix(N):
@@ -135,50 +138,31 @@ class MassOperator:
         t = -self.kappa * self.second_difference(U)
         return self.kappa * _odd_beta(self.nl, t)
 
-    def resolvent(self, lam, G, tol=1e-11, max_iter=80):
+    def resolvent(self, lam, G, tol=1e-11):
         """Solve U + lam * (L U) = G with U(0) = 0 and U'(L) = 0.
 
-        Newton iteration on the grid values; the monotone beta makes the
-        Jacobian an M-matrix, solved in banded form.  The law must provide
-        ``dbeta`` with finite values (regularize degenerate laws first).
+        The N = 1 mass system, solved by its Newton step from U = G.  The law
+        must provide ``dbeta`` with finite values (regularize degenerate laws
+        first).
         """
         if lam <= 0:
             raise ValueError("lam must be positive")
         if getattr(self.nl, "dbeta", None) is None:
             raise ResolventError("resolvent Newton needs dbeta; regularize the law")
         G = np.asarray(G, dtype=float)
-        M = self.M
-        U = np.concatenate([[0.0], G[1:]])
+        lamF = G[None, 1:]
+        V = np.zeros((3, self.M + 1))
+        V[1, 1:] = G[1:]
         scale = max(1.0, float(np.max(np.abs(G))))
-
-        def residual(U):
-            return U[1:] + lam * self._apply_odd(U) - G[1:]
-
-        r = residual(U)
-        for _ in range(max_iter):
+        ab = np.zeros((4, self.M), order="F")
+        r = _mass_residual(self, lam, lamF, V)
+        for _ in range(_MAX_NEWTON):
             if np.max(np.abs(r)) <= tol * scale:
-                return U
-            t = -self.kappa * self.second_difference(U)
-            w = lam * self.kappa ** 2 * self.nl.dbeta(np.abs(t))
-            if not np.all(np.isfinite(w)):
-                raise ResolventError("beta slope degenerate along the iterate; regularize")
-            # Banded Jacobian: rows i = 1..M, unknowns U_1..U_M.
-            ab = np.zeros((3, M))
-            ab[1] = 1.0 - w * self._cc
-            ab[0, 1:] = -(w * self._cp)[:-1]        # super-diagonal
-            ab[2, :-1] = -(w * self._cm)[1:]        # sub-diagonal
-            step = solve_banded((1, 1), ab, -r)
-            alpha = 1.0
-            for _ in range(40):
-                U_try = U.copy()
-                U_try[1:] += alpha * step
-                r_try = residual(U_try)
-                if np.max(np.abs(r_try)) <= (1.0 - 0.25 * alpha) * np.max(np.abs(r)):
-                    break
-                alpha *= 0.5
-            else:
+                return V[1]
+            corrected = _newton_correction(self, lam, lamF, V, r, ab)
+            if corrected is None:
                 raise ResolventError("resolvent Newton stalled; regularize the law")
-            U, r = U_try, r_try
+            V, r = corrected
         raise ResolventError(f"resolvent Newton did not converge (residual {np.max(np.abs(r)):.3e})")
 
 
@@ -295,7 +279,8 @@ def _fill_jacobian(ab, op, lam, V):
     the pivoting fill.  Row k holds 1 - w cc on the diagonal, -1/2 at the
     neighbouring slices of the same node, -w cp at the next node and -w cm
     at the previous one (none at node 1, the Dirichlet node), where
-    w = lam kappa^2 beta'(|t|) as in ``MassOperator.resolvent``.
+    w = lam kappa^2 beta'(|t|) at t = -kappa D2 V_j, the slope of the odd
+    extension of beta.
     """
     N = V.shape[0] - 2
     t = -op.kappa * op.second_difference(V[1:-1])
@@ -318,17 +303,21 @@ def _fill_jacobian(ab, op, lam, V):
 
 
 def _newton_correction(op, lam, lamF, V, r, ab):
-    """One damped Newton step on all interior unknowns; the corrected V.
+    """One damped Newton step on all interior unknowns; (V, r) after it.
 
-    The band LU overwrites ``ab``, so nothing of it outlives the step.  The
-    step length halves until the residual falls to (1 - alpha/4) of its
-    size, the resolvent's rule; returns None when no length does.
+    The band LU overwrites ``ab``, so nothing of it outlives the step; one
+    slice makes the band tridiagonal, which LAPACK's gtsv solves directly.
+    The step length halves until the residual falls to (1 - alpha/4) of its
+    size; returns None when no length does.
     """
     N, M = r.shape
     _fill_jacobian(ab, op, lam, V)
-    lu, piv, info = dgbtrf(ab, N, N, overwrite_ab=1)
-    if info == 0:
-        step, info = dgbtrs(lu, N, N, -r.T.ravel(), piv)
+    if N == 1:
+        *_, step, info = dgtsv(ab[3, :-1], ab[2], ab[1, 1:], -r[0])
+    else:
+        lu, piv, info = dgbtrf(ab, N, N, overwrite_ab=1)
+        if info == 0:
+            step, info = dgbtrs(lu, N, N, -r.T.ravel(), piv)
     if info != 0:
         raise ResolventError(f"mass Jacobian band LU failed (info {info})")
     step = step.reshape(M, N).T
@@ -339,7 +328,7 @@ def _newton_correction(op, lam, lamF, V, r, ab):
         V_try[1:-1, 1:] += alpha * step
         r_try = _mass_residual(op, lam, lamF, V_try)
         if np.max(np.abs(r_try)) <= (1.0 - 0.25 * alpha) * r_max:
-            return V_try
+            return V_try, r_try
         alpha *= 0.5
     return None
 
@@ -379,7 +368,7 @@ def solve_mass_system(sys, tol=1e-10, init=None, counters=None):
             return [V[j] for j in range(N + 2)]
         corrected = _newton_correction(op, lam, lamF, V, r, ab)
         if corrected is not None:
-            V = corrected
+            V = corrected[0]
             counters["newton_steps"] += 1
     raise ResolventError(
         f"mass system did not converge below {tol:g} in {_MAX_OUTER} sweeps "

@@ -101,13 +101,13 @@ class StepData:
 class Profile:
     """Decreasing rearrangement sampled on a radial grid.
 
-    The values are right-continuous samples of the exact step function; the
-    exact steps ride along whenever the profile came from a field.
+    The values are right-continuous samples of the exact step function
+    ``steps``, which rides along.
     """
 
     s_grid: RadialGrid
     values: np.ndarray
-    steps: StepData | None = None
+    steps: StepData
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -152,16 +152,10 @@ def decreasing_rearrangement(field, s_grid):
 
 
 def mass_function(profile):
-    """Cumulative integral of the profile: exact from the step data when
-    available, cumulative trapezoid of the node samples otherwise."""
-    if profile.steps is not None:
-        vals = profile.steps.integral_to(profile.s_grid.s_nodes)
-        vals = np.asarray(vals, dtype=float)
-        vals[0] = 0.0
-    else:
-        ds = profile.s_grid.spacings
-        mids = 0.5 * (profile.values[1:] + profile.values[:-1])
-        vals = np.concatenate([[0.0], np.cumsum(mids * ds)])
+    """Cumulative integral of the profile, exact from its step data."""
+    vals = profile.steps.integral_to(profile.s_grid.s_nodes)
+    vals = np.asarray(vals, dtype=float)
+    vals[0] = 0.0
     return MassFunction(profile.s_grid, vals)
 
 
@@ -246,8 +240,6 @@ def hardy_littlewood_gap(field, s, max_exhaustive=200000, trials=2000, rng=None)
 
 def l1_profile_distance(a, b):
     """Exact L^1 distance between two step profiles on the same (0, L)."""
-    if a.steps is None or b.steps is None:
-        raise ValueError("exact distance needs step-backed profiles")
     pts = np.union1d(a.steps.cum, b.steps.cum)
     pts = np.concatenate([[0.0], pts])
     mids = 0.5 * (pts[1:] + pts[:-1])

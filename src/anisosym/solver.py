@@ -129,7 +129,7 @@ def _y_modes(N, h):
 class _StackFunctional:
     """Energy, gradient and Hessian of J on the stacked interior unknowns.
 
-    ``h`` is the slice spacing, or None for the x-only problem.  A slice
+    ``h`` is the slice spacing, or None for uncoupled x-only slices.  A slice
     block is held in stencil slots, slot (s, i) coupling cell i with the cell
     at lattice offset s in {-1, 0, 1}^n; ``_perm`` reads them in CSC order.
     """
@@ -294,19 +294,18 @@ def _newton_direction(func, z, g, counters, modes=None, rtol=1e-12,
                       kept_maxiter=_LAGGED_MAXITER):
     """The Newton direction d with H(z) d = -g, or None if the LU fails.
 
-    2-D stacks (n = 2 with a y-coupling) use mode-preconditioned CG to
-    relative residual ``rtol``: one LU of the whole Hessian there has
-    3-D-like fill.  CG first runs on the mode LUs kept in ``modes`` for at
-    most ``kept_maxiter`` iterations; if there are none or CG stalls, they
-    are rebuilt from this step's mean block and CG reruns.  Without
-    ``modes`` the step uses a fresh store.  Everything else, and a CG solve
-    that does not converge, uses one sparse LU of the Hessian.  ``counters``
-    gains the CG iterations, the sparse LUs, and one fallback per CG-to-LU
-    switch and per failed LU.
+    2-D stacks (n = 2) use mode-preconditioned CG to relative residual
+    ``rtol``: one LU of the whole Hessian there has 3-D-like fill.  CG first
+    runs on the mode LUs kept in ``modes`` for at most ``kept_maxiter``
+    iterations; if there are none or CG stalls, they are rebuilt from this
+    step's mean block and CG reruns.  Without ``modes`` the step uses a fresh
+    store.  1-D stacks, and a CG solve that does not converge, use one sparse
+    LU of the Hessian.  ``counters`` gains the CG iterations, the sparse
+    LUs, and one fallback per CG-to-LU switch and per failed LU.
     """
     H, A = func.hessian(z)
     rhs = -g.ravel()
-    if func.Q is not None and func.grid.n == 2:
+    if func.grid.n == 2:
         if modes is None:
             modes = _ModeFactors()
         d = None if modes.lus is None else _mode_pcg(func, H, rhs, modes, rtol,
@@ -430,20 +429,6 @@ def _warm_start(func, counters):
     return z if func.energy(z) < 0.0 else zero
 
 
-def stack_energy(prob, stack):
-    """The discrete energy J of a stack for the given problem."""
-    if stack.grid is not prob.grid or stack.num_interior != prob.num_interior:
-        raise ValueError("stack does not match the problem discretization")
-    func = _StackFunctional(prob.grid, prob.nl, prob.f.interior, prob.h)
-    return func.energy(stack.interior)
-
-
-def residual_norm(prob, stack):
-    """Dual norm of the discrete weak-form residual at the given stack."""
-    func = _StackFunctional(prob.grid, prob.nl, prob.f.interior, prob.h)
-    return func.dual_norm(func.gradient(stack.interior))
-
-
 def _eps_path(nl):
     """The coarser laws solved before ``nl``, largest eps first.
 
@@ -458,7 +443,7 @@ def _eps_path(nl):
     return [nl.with_eps(e) for e in _EPS_PATH if e > nl.eps]
 
 
-def _solve(func, z, tol, max_iter, counters):
+def _solve(func, tol, max_iter, counters):
     """Minimize ``func`` along its eps path; returns (z, info).
 
     Intermediate stages stop at ``_STAGE_TOL`` without a polish; the last
@@ -466,6 +451,7 @@ def _solve(func, z, tol, max_iter, counters):
     with ``iterations`` summed over all stages and ``eps_stages`` holding
     (eps, iterations) per stage.
     """
+    z = None
     stages = []
     for law in _eps_path(func.nl) + [func.nl]:
         last = law is func.nl
@@ -481,7 +467,7 @@ def _solve(func, z, tol, max_iter, counters):
     return z, info
 
 
-def solve_stack(prob, tol=1e-9, max_iter=500, z0=None):
+def solve_stack(prob, tol=1e-9, max_iter=500):
     """Minimize J; the returned stack is nonnegative up to solver precision.
 
     ``energies`` are those of the last eps stage; ``iterations`` counts
@@ -490,7 +476,7 @@ def solve_stack(prob, tol=1e-9, max_iter=500, z0=None):
     _require_smooth(prob.nl)
     func = _StackFunctional(prob.grid, prob.nl, prob.f.interior, prob.h)
     counters = {"cg_iterations": 0, "fallbacks": 0, "factorizations": 0}
-    z, info = _solve(func, z0, tol, max_iter, counters)
+    z, info = _solve(func, tol, max_iter, counters)
     vals = np.zeros((prob.num_interior + 2, prob.grid.num_cells))
     vals[1:-1] = z
     return DiscreteSolution(prob, SliceStack(prob.grid, vals), info["energy"],
@@ -498,16 +484,6 @@ def solve_stack(prob, tol=1e-9, max_iter=500, z0=None):
                             info["energies"], info["converged"],
                             counters["cg_iterations"], counters["fallbacks"],
                             counters["factorizations"], info["eps_stages"])
-
-
-def solve_cross_section(grid, nl, f_values, tol=1e-9, max_iter=500):
-    """Single Dirichlet solve in x only: -div(a(|grad u|) grad u) = f."""
-    _require_smooth(nl)
-    func = _StackFunctional(grid, nl, np.asarray(f_values, dtype=float)[None, :], None)
-    counters = {"cg_iterations": 0, "fallbacks": 0, "factorizations": 0}
-    z, info = _solve(func, None, tol, max_iter, counters)
-    info.update(counters)
-    return z[0], info
 
 
 def radial_order_violation(grid, values):
@@ -567,22 +543,6 @@ def solve_symmetrized(prob, tol=1e-9, max_iter=500, radial_tol=1e-8):
                 f"slice {j} violates radial monotonicity by {bad:.3e} "
                 f"(tolerance {radial_tol:.1e}); refine the grid")
     return sol
-
-
-def solve_tau_extrapolated(grid, base_nl, f, eps, tau, tol=1e-9, max_iter=500):
-    """Richardson extrapolation of the ellipticity shift toward tau = 0.
-
-    Solves with shifts tau and tau/2 and returns the stack 2*u_{tau/2} -
-    u_tau together with both solutions.  Useful when a single solve must
-    approximate the unshifted degenerate problem accurately.
-    """
-    from .nonlinearity import moreau_yosida
-    sol_a = solve_stack(DiscreteProblem(grid, moreau_yosida(base_nl, eps, tau), f),
-                        tol, max_iter)
-    sol_b = solve_stack(DiscreteProblem(grid, moreau_yosida(base_nl, eps, tau / 2.0), f),
-                        tol, max_iter)
-    vals = 2.0 * sol_b.stack.values - sol_a.stack.values
-    return SliceStack(grid, vals), sol_a, sol_b
 
 
 class YInterpolant:

@@ -123,6 +123,32 @@ def test_resolvent_order_preserving_and_nonexpansive(law):
             assert d <= np.max(np.abs(G1 - G2)) + 1e-8   # sup-norm contraction
 
 
+@pytest.mark.parametrize("n,grading", [(1, "uniform"), (2, "sqrt")])
+def test_resolvent_is_the_one_slice_mass_system(n, grading):
+    # U + lam L U = G is the N = 1 system at h = 1/2: lam = 1/8, F_1 = 8 G.
+    s_grid = make_radial_grid(n, 1.0, 32, grading=grading)
+    op = MassOperator(s_grid, moreau_yosida(make_p_laplacian(3), 1e-6, 1e-4))
+    G = random_mass_functions(op, 1, np.random.default_rng(4))[0]
+    U = op.resolvent(1.0 / 8.0, G)
+    V = solve_mass_system(MassSystem(op, 0.5, [8.0 * G]), tol=1e-11)
+    assert np.max(np.abs(U - V[1])) <= 1e-10 * max(1.0, np.max(G))
+
+
+def decreasing_law():
+    from anisosym import Nonlinearity
+    return Nonlinearity("decreasing", 2.0, beta=lambda t: -np.asarray(t, float),
+                        antideriv=lambda t: -np.asarray(t, float) ** 2 / 2,
+                        dbeta=lambda t: -np.ones_like(np.asarray(t, float)))
+
+
+def test_resolvent_rejects_decreasing_beta():
+    # The resolvent takes the mass system's Newton step, and so its w >= 0 guard.
+    s_grid = make_radial_grid(1, 1.0, 8)
+    op = MassOperator(s_grid, decreasing_law())
+    with pytest.raises(ResolventError, match="slice 1, node 1;"):
+        op.resolvent(0.1, quad_mass(s_grid, 1.0))
+
+
 def test_resolvent_requires_dbeta():
     from anisosym import Nonlinearity
     nl = Nonlinearity("nodb", 2.0, beta=lambda t: np.asarray(t, float),
@@ -346,11 +372,7 @@ def test_mass_operator_rejects_non_monotone_stencil():
 
 
 def test_mass_jacobian_rejects_decreasing_beta():
-    from anisosym import Nonlinearity
-    nl = Nonlinearity("decreasing", 2.0, beta=lambda t: -np.asarray(t, float),
-                      antideriv=lambda t: -np.asarray(t, float) ** 2 / 2,
-                      dbeta=lambda t: -np.ones_like(np.asarray(t, float)))
-    op = MassOperator(make_radial_grid(1, 1.0, 8), nl)
+    op = MassOperator(make_radial_grid(1, 1.0, 8), decreasing_law())
     ab = np.zeros((7, 16), order="F")
     with pytest.raises(ResolventError, match="slice 1, node 1;"):
         _fill_jacobian(ab, op, 0.1, np.zeros((4, 9)))
