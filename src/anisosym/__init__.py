@@ -9,31 +9,26 @@ original solution sit below those of the symmetrized problem.
 
 __version__ = "0.1.0"
 
-from .grids import (BALL_MEASURE, CellGrid, RadialGrid, SliceStack,
-                    cell_gradients, gradient_functional, make_ball_grid,
-                    make_disk_grid, make_interval_grid, make_radial_grid,
-                    make_square_grid, perimeter_factor, sample_slices,
-                    symmetrized_grid, zero_stack)
+from .grids import (CellGrid, RadialGrid, SliceStack, cell_gradients,
+                    gradient_functional, make_ball_grid, make_disk_grid,
+                    make_interval_grid, make_radial_grid, make_square_grid,
+                    perimeter_factor, sample_slices, symmetrized_grid)
 from .nonlinearity import (Nonlinearity, RegularizedNonlinearity,
                            ValidationReport, from_beta_table,
                            hypothesis_samples, make_p_laplacian,
                            moreau_yosida, shifted_p, validate_hypotheses)
 from .rearrange import (MassFunction, Profile, ScalarField, StepData,
-                        decreasing_rearrangement, distribution_function,
-                        hardy_littlewood_gap, l1_field_distance,
-                        l1_profile_distance, mass_function, polya_szego_gap,
+                        decreasing_rearrangement, mass_function,
                         schwarz_rearrangement, steiner_rearrangement)
 from .solver import (DiscreteProblem, DiscreteSolution, SolverError,
                      YInterpolant, radial_order_violation, solve_stack,
                      solve_symmetrized, y_interpolant)
 from .mass_ode import (AccretivityReport, MassOperator, MassSystem,
-                       ResolventError, difference_factor,
-                       mass_functions_from_stack, random_mass_functions,
-                       second_difference_matrix, solve_mass_system,
+                       ResolventError, mass_functions_from_stack,
+                       random_mass_functions, solve_mass_system,
                        subsolution_slack, t_accretivity_check)
-from .compare import (ComparisonError, ComparisonReport, LqComparison,
-                      PipelineError, SweepReport, epsilon_tau_sweep,
-                      h_refinement_study, mollify_stack,
-                      pipeline_subsolution_slack, verify_lq_consequence,
-                      verify_mass_comparison)
+from .compare import (ComparisonError, ComparisonReport, PipelineError,
+                      SweepReport, epsilon_tau_sweep, h_refinement_study,
+                      mollify_stack, pipeline_subsolution_slack,
+                      verify_lq_consequence, verify_mass_comparison)
 from .config import ConfigError, ExperimentConfig, compile_expression, parse_config

@@ -21,11 +21,11 @@ import scipy
 from . import __version__
 from .compare import (ComparisonError, PipelineError, epsilon_tau_sweep,
                       h_refinement_study, pipeline_subsolution_slack,
-                      verify_lq_consequence, verify_mass_comparison)
+                      solvable_law, verify_lq_consequence,
+                      verify_mass_comparison)
 from .config import ConfigError, parse_config
 from .grids import make_radial_grid, sample_slices
 from .mass_ode import MassOperator, t_accretivity_check
-from .nonlinearity import moreau_yosida
 from .solver import DiscreteProblem, SolverError, solve_stack
 
 
@@ -71,15 +71,14 @@ def _manifest(cfg, args, subcommand):
     return RunManifest(subcommand, digest, seed, _versions())
 
 
-def _law_for(cfg, nl):
-    if getattr(nl, "smooth_eps", None) is None:
-        return moreau_yosida(nl, cfg["regularization.eps"], cfg["regularization.tau"])
-    return nl
+def _law_for(cfg):
+    return solvable_law(cfg.build_nonlinearity(), cfg["regularization.eps"],
+                        cfg["regularization.tau"])
 
 
 def _cmd_solve(cfg, args, out_dir, manifest):
     grid = cfg.build_grid()
-    nl = _law_for(cfg, cfg.build_nonlinearity())
+    nl = _law_for(cfg)
     f = sample_slices(grid, cfg["slices.N"], cfg.data_function())
     t0 = time.perf_counter()
     sol = solve_stack(DiscreteProblem(grid, nl, f), tol=cfg["tol"],
@@ -101,7 +100,7 @@ def _cmd_solve(cfg, args, out_dir, manifest):
 
 def _cmd_star_check(cfg, args, out_dir, manifest, seed):
     grid = cfg.build_grid()
-    nl = _law_for(cfg, cfg.build_nonlinearity())
+    nl = _law_for(cfg)
     s_grid = make_radial_grid(grid.n, grid.total_measure, cfg["sgrid.M"],
                               cfg["sgrid.grading"])
     op = MassOperator(s_grid, nl)

@@ -101,23 +101,33 @@ class ComparisonReport:
                              f"{self.V[j, i]:.17g},{self.gap[j, i]:.17g}\n")
 
 
-def verify_mass_comparison(grid, nl, f_fn=None, f_stack=None, N=7, M=64,
-                           grading="auto", eps=1e-6, tau=1e-6, slack_c=10.0,
-                           tol=1e-9, radial_tol=1e-8, always_regularize=False,
+def solvable_law(nl, eps, tau, always_regularize=False):
+    """The law the slice solver runs on: ``nl`` itself when it is smooth.
+
+    Laws without two-sided slope bounds on beta (``smooth_eps`` unset), or
+    every law when ``always_regularize`` is set, are replaced by their
+    (eps, tau) Moreau-Yosida regularization.
+    """
+    if always_regularize or getattr(nl, "smooth_eps", None) is None:
+        return moreau_yosida(nl, eps, tau)
+    return nl
+
+
+def verify_mass_comparison(grid, nl, f_fn, N=7, M=64, grading="auto",
+                           eps=1e-6, tau=1e-6, slack_c=10.0, tol=1e-9,
+                           radial_tol=1e-8, always_regularize=False,
                            mollify=0.0):
     """Run the full comparison pipeline and certify the mass ordering.
 
-    The data comes either as a callable f_fn(centers, y) or a prepared
-    stack.  Laws without two-sided slope bounds are solved through their
+    The data comes as a callable f_fn(centers, y), sampled on N slices.
+    Laws without two-sided slope bounds are solved through their
     (eps, tau) regularization; the comparison then certifies the theorem
     for the regularized law, which satisfies the same hypotheses.
     """
     timings = {}
-    if (f_fn is None) == (f_stack is None):
-        raise ValueError("provide exactly one of f_fn and f_stack")
 
     def build_data():
-        stack = f_stack if f_stack is not None else sample_slices(grid, N, f_fn)
+        stack = sample_slices(grid, N, f_fn)
         if np.any(stack.values < 0.0):
             raise ValueError("data must be nonnegative")
         if mollify > 0.0:
@@ -127,13 +137,8 @@ def verify_mass_comparison(grid, nl, f_fn=None, f_stack=None, N=7, M=64,
     f = _stage("data", build_data, timings)
     h = f.h
     N = f.num_interior
-
-    def build_law():
-        if always_regularize or getattr(nl, "smooth_eps", None) is None:
-            return moreau_yosida(nl, eps, tau)
-        return nl
-
-    law = _stage("nonlinearity", build_law, timings)
+    law = _stage("nonlinearity",
+                 lambda: solvable_law(nl, eps, tau, always_regularize), timings)
     u_sol = _stage("solve", lambda: solve_stack(DiscreteProblem(grid, law, f), tol), timings)
 
     def symmetrize():
@@ -190,18 +195,6 @@ def verify_mass_comparison(grid, nl, f_fn=None, f_stack=None, N=7, M=64,
         worst >= -budget, meta, u_sol.stack, v_sol.stack, u_sol.energy, timings)
 
 
-@dataclass
-class LqComparison:
-    q: float
-    lhs: float
-    rhs: float
-    slack: float
-
-    @property
-    def passed(self):
-        return self.lhs <= self.rhs + self.slack
-
-
 def verify_lq_consequence(report, q):
     """Check the integral of |u|^q against |v|^q over the product domain.
 
@@ -216,8 +209,7 @@ def verify_lq_consequence(report, q):
     rhs = h * report.v_stack.grid.cell_measure * float(np.sum(report.v_stack.interior ** q))
     vmax = max(float(report.u_stack.values.max()), float(report.v_stack.values.max()), 0.0)
     slack = report.slack_budget * q * (1.0 + vmax) ** max(q - 1.0, 0.0)
-    out = LqComparison(q, lhs, rhs, slack)
-    if not out.passed:
+    if not lhs <= rhs + slack:
         raise ComparisonError(
             f"L^{q:g} ordering violated: {lhs:.6e} > {rhs:.6e} + {slack:.2e}")
     return lhs, rhs

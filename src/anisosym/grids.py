@@ -20,9 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Measure of the unit ball in R^n.
-BALL_MEASURE = {1: 2.0, 2: float(np.pi)}
-
 
 def perimeter_factor(n, s):
     """Perimeter of the ball in R^n of measure s: n*omega_n^(1/n)*s^(1-1/n).
@@ -127,14 +124,14 @@ def gradient_functional(grid, values, func):
     return float(grid.cell_measure * func(mags).mean(axis=0).sum())
 
 
-def make_interval_grid(length, m, center=0.0, centered=False):
+def make_interval_grid(length, m, centered=False):
     """Uniform 1-D grid of m cells on (0, length), or centered at 0."""
     if length <= 0:
         raise ValueError("length must be positive")
     if m < 4:
         raise ValueError(f"need at least 4 cells, got {m}")
     dx = length / m
-    left = center - length / 2.0 if centered else 0.0
+    left = -length / 2.0 if centered else 0.0
     xs = left + (np.arange(m) + 0.5) * dx
     minus = np.arange(-1, m - 1)
     plus = np.concatenate([np.arange(1, m), [-1]])
@@ -313,10 +310,6 @@ class SliceStack:
     @property
     def interior(self):
         return self.values[1:-1]
-
-
-def zero_stack(grid, N):
-    return SliceStack(grid, np.zeros((N + 2, grid.num_cells)))
 
 
 def sample_slices(grid, N, fn):

@@ -45,29 +45,6 @@ _MAX_OUTER = 50
 _MAX_NEWTON = 80
 
 
-def second_difference_matrix(N):
-    """The N x N tridiagonal matrix with 2 on the diagonal and -1 off it."""
-    D = 2 * np.eye(N, dtype=np.int64)
-    idx = np.arange(N - 1)
-    D[idx, idx + 1] = -1
-    D[idx + 1, idx] = -1
-    return D
-
-
-def difference_factor(N):
-    """(N+1) x N zero-padded difference matrix C with C^t C = D2 exactly.
-
-    Row i of C maps x to x_i - x_{i-1} with x_{-1} = x_N = 0 read as zeros,
-    so x^t D2 x = |C x|^2; the factorization is exact in integer arithmetic.
-    """
-    C = np.zeros((N + 1, N), dtype=np.int64)
-    idx = np.arange(N)
-    C[idx, idx] = 1
-    C[idx[1:], idx[:-1]] = -1
-    C[N, N - 1] = -1
-    return C
-
-
 def _values(mass):
     """Node values of a MassFunction, or of an array of node values."""
     return mass.values if isinstance(mass, MassFunction) else np.asarray(mass, float)

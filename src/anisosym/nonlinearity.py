@@ -55,13 +55,6 @@ class Nonlinearity:
     def B(self, t):
         return self.antideriv(_as_array(t))
 
-    def flux(self, g):
-        """Vector field beta(|g|) g/|g| on arrays of shape (..., n); 0 at 0."""
-        g = _as_array(g)
-        mag = np.sqrt((g ** 2).sum(axis=-1))
-        coef = np.where(mag > 0, self.beta(np.maximum(mag, TINY_T)) / np.maximum(mag, TINY_T), 0.0)
-        return coef[..., None] * g
-
 
 def make_p_laplacian(p):
     """The power law beta(t) = t^(p-1), so A(t) = t^p and B(t) = t^p / p."""

@@ -1,0 +1,145 @@
+"""Independent oracles for the test suite.
+
+These check the library from outside: exact measure identities of the
+sorted-cell step function, the Hardy-Littlewood and Polya-Szego
+inequalities, the L^1 contraction of rearrangement, the exact C^t C = D2
+factorization of the second-difference matrix, and the monotonicity of the
+flux beta(|g|) g/|g|.  Nothing in the pipeline calls them.
+"""
+
+from itertools import combinations
+from math import comb
+
+import numpy as np
+
+from anisosym import SliceStack, gradient_functional, symmetrized_grid
+from anisosym import rearrange
+from anisosym.nonlinearity import TINY_T
+
+# Measure of the unit ball in R^n.
+BALL_MEASURE = {1: 2.0, 2: float(np.pi)}
+
+
+class StepData(rearrange.StepData):
+    """The library's step function with the reads only tests make."""
+
+    def integral_power(self, q):
+        """Exact integral of value^q over (0, total)."""
+        widths = np.diff(np.concatenate([[0.0], self.cum]))
+        return float(np.sum(self.values ** q * widths))
+
+    def distribution(self, t):
+        """Measure of the super-level set {value > t}."""
+        t = np.asarray(t, dtype=float)
+        counts = np.searchsorted(-self.values, -t, side="left")
+        cum0 = np.concatenate([[0.0], self.cum])
+        out = cum0[counts]
+        return float(out) if out.ndim == 0 else out
+
+
+def distribution_function(field, t):
+    """Measure of {x : u(x) > t}; non-increasing in t."""
+    field.require_nonneg()
+    return StepData.from_field(field).distribution(t)
+
+
+def hardy_littlewood_gap(field, s, max_exhaustive=200000, trials=2000, rng=None):
+    """min over tested subsets A with |A| = s of  int_0^s u* - int_A u.
+
+    The measure s is snapped to the nearest whole number of cells.  All
+    subsets are enumerated when their count is small; otherwise the sampled
+    family always contains the extremal candidates (top-k and bottom-k
+    cells), which realize the minimal and maximal gap.
+    """
+    field.require_nonneg()
+    m = field.grid.num_cells
+    mc = field.grid.cell_measure
+    k = int(round(s / mc))
+    k = min(max(k, 0), m)
+    steps = StepData.from_field(field)
+    lhs = steps.integral_to(k * mc)
+    if k == 0:
+        return 0.0
+    vals = field.values
+    if comb(m, k) <= max_exhaustive:
+        sums = [vals[list(idx)].sum() for idx in combinations(range(m), k)]
+        best = max(sums)
+    else:
+        rng = rng or np.random.default_rng(0)
+        order = np.argsort(-vals, kind="stable")
+        best = vals[order[:k]].sum()
+        best = max(best, vals[order[-k:]].sum())
+        for _ in range(trials):
+            pick = rng.choice(m, size=k, replace=False)
+            best = max(best, vals[pick].sum())
+    return float(lhs - best * mc)
+
+
+def l1_profile_distance(a, b):
+    """Exact L^1 distance between two step profiles on the same (0, L)."""
+    pts = np.union1d(a.steps.cum, b.steps.cum)
+    pts = np.concatenate([[0.0], pts])
+    mids = 0.5 * (pts[1:] + pts[:-1])
+    da = a.steps.value_at(mids) - b.steps.value_at(mids)
+    return float(np.sum(np.abs(da) * np.diff(pts)))
+
+
+def l1_field_distance(a, b):
+    if a.grid is not b.grid:
+        raise ValueError("fields must share a grid")
+    return float(np.abs(a.values - b.values).sum() * a.grid.cell_measure)
+
+
+def polya_szego_gap(field, nl, target=None):
+    """Gap  int A(|grad u|) - int A(|grad u_ball|)  for the discrete fields.
+
+    Nonnegative up to O(dx) for fields vanishing near the wall; returns
+    (energy_u, energy_star, gap).  The ball field evaluates the exact step
+    function at each cell's own measure coordinate, so it is a true
+    function of the radius: equimeasurable only up to grid error, but free
+    of the lattice-ordering noise that pollutes gradient functionals of the
+    rank permutation the pipeline uses.
+    """
+    if target is None:
+        target = symmetrized_grid(field.grid)
+    radii = np.sqrt((target.centers ** 2).sum(axis=1))
+    s_c = BALL_MEASURE[target.n] * radii ** target.n
+    star = np.asarray(StepData.from_field(field).value_at(s_c), dtype=float)
+    e_u = gradient_functional(field.grid, field.values, nl.A)
+    e_s = gradient_functional(target, star, nl.A)
+    return e_u, e_s, e_u - e_s
+
+
+def second_difference_matrix(N):
+    """The N x N tridiagonal matrix with 2 on the diagonal and -1 off it."""
+    D = 2 * np.eye(N, dtype=np.int64)
+    idx = np.arange(N - 1)
+    D[idx, idx + 1] = -1
+    D[idx + 1, idx] = -1
+    return D
+
+
+def difference_factor(N):
+    """(N+1) x N zero-padded difference matrix C with C^t C = D2 exactly.
+
+    Row i of C maps x to x_i - x_{i-1} with x_{-1} = x_N = 0 read as zeros,
+    so x^t D2 x = |C x|^2; the factorization is exact in integer arithmetic.
+    """
+    C = np.zeros((N + 1, N), dtype=np.int64)
+    idx = np.arange(N)
+    C[idx, idx] = 1
+    C[idx[1:], idx[:-1]] = -1
+    C[N, N - 1] = -1
+    return C
+
+
+def zero_stack(grid, N):
+    return SliceStack(grid, np.zeros((N + 2, grid.num_cells)))
+
+
+def flux(nl, g):
+    """Vector field beta(|g|) g/|g| on arrays of shape (..., n); 0 at 0."""
+    g = np.asarray(g, dtype=float)
+    mag = np.sqrt((g ** 2).sum(axis=-1))
+    coef = np.where(mag > 0, nl.beta(np.maximum(mag, TINY_T)) / np.maximum(mag, TINY_T), 0.0)
+    return coef[..., None] * g

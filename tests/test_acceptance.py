@@ -14,15 +14,15 @@ from scipy.linalg import solve_banded
 from scipy.special import i0
 
 from anisosym import (DiscreteProblem, MassOperator, ScalarField,
-                      decreasing_rearrangement, difference_factor,
-                      distribution_function, hardy_littlewood_gap,
-                      h_refinement_study, l1_field_distance,
-                      l1_profile_distance, make_disk_grid, make_interval_grid,
-                      make_p_laplacian, make_radial_grid, moreau_yosida,
-                      polya_szego_gap, sample_slices, second_difference_matrix,
+                      decreasing_rearrangement, h_refinement_study,
+                      make_disk_grid, make_interval_grid, make_p_laplacian,
+                      make_radial_grid, moreau_yosida, sample_slices,
                       solve_stack, t_accretivity_check, verify_mass_comparison,
-                      y_interpolant, zero_stack)
-from anisosym.rearrange import StepData
+                      y_interpolant)
+from oracles import (StepData, difference_factor, distribution_function,
+                     hardy_littlewood_gap, l1_field_distance,
+                     l1_profile_distance, polya_szego_gap,
+                     second_difference_matrix, zero_stack)
 
 P_SET = (1.5, 2.0, 3.0, 4.0)
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from anisosym import (MassOperator, MassSystem, ResolventError,
-                      difference_factor, make_interval_grid, make_p_laplacian,
-                      make_radial_grid, mass_functions_from_stack,
-                      moreau_yosida, random_mass_functions, sample_slices,
-                      second_difference_matrix, solve_mass_system,
+                      make_interval_grid, make_p_laplacian, make_radial_grid,
+                      mass_functions_from_stack, moreau_yosida,
+                      random_mass_functions, sample_slices, solve_mass_system,
                       subsolution_slack, t_accretivity_check,
-                      verify_mass_comparison, zero_stack)
+                      verify_mass_comparison)
 from anisosym.mass_ode import _fill_jacobian, _mass_residual
+from oracles import difference_factor, second_difference_matrix, zero_stack
 
 
 def quad_mass(s_grid, L):

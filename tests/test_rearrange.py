@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from anisosym import (ScalarField, decreasing_rearrangement,
-                      distribution_function, hardy_littlewood_gap,
-                      l1_field_distance, l1_profile_distance, make_ball_grid,
+from anisosym import (ScalarField, decreasing_rearrangement, make_ball_grid,
                       make_disk_grid, make_interval_grid, make_p_laplacian,
-                      make_radial_grid, mass_function, perimeter_factor,
-                      polya_szego_gap, schwarz_rearrangement,
-                      steiner_rearrangement, zero_stack)
-from anisosym.rearrange import StepData
+                      make_radial_grid, make_square_grid, mass_function,
+                      perimeter_factor, schwarz_rearrangement,
+                      steiner_rearrangement)
+from oracles import (StepData, distribution_function, hardy_littlewood_gap,
+                     l1_field_distance, l1_profile_distance, polya_szego_gap,
+                     zero_stack)
 
 
 @pytest.fixture
@@ -82,8 +82,8 @@ def test_mass_function_values(four_cells):
     prof = decreasing_rearrangement(four_cells, s_grid)
     U = mass_function(prof)
     assert U.values[0] == 0.0
-    assert U.at(2.0) == pytest.approx(5.0)    # 3 + 2
-    assert U.total == pytest.approx(6.0)      # full integral of the field
+    assert U.values[2] == pytest.approx(5.0)  # 3 + 2 at s = 2
+    assert U.values[-1] == pytest.approx(6.0)  # full integral of the field
     d2 = np.diff(U.values, 2)
     assert np.all(d2 <= 1e-12)                # concavity
 
@@ -101,7 +101,8 @@ def test_mass_function_total_matches_field_integral():
     grid = make_disk_grid(1.0, 24)
     field = ScalarField(grid, rng.uniform(0, 2, grid.num_cells))
     prof = decreasing_rearrangement(field, make_radial_grid(2, grid.total_measure, 32))
-    assert mass_function(prof).total == pytest.approx(field.integral(), rel=1e-10)
+    assert mass_function(prof).values[-1] == pytest.approx(
+        field.values.sum() * grid.cell_measure, rel=1e-10)
 
 
 def test_schwarz_permutes_onto_symmetric_interval(four_cells):
@@ -136,8 +137,22 @@ def test_translated_and_centered_bumps_share_a_profile():
 def test_schwarz_rejects_measure_mismatch():
     grid = make_interval_grid(1.0, 8)
     target = make_ball_grid(1, 2.0, 8)
-    with pytest.raises(ValueError, match="2%"):
+    with pytest.raises(ValueError, match="equal cell measures"):
         schwarz_rearrangement(ScalarField(grid, np.ones(8)), target)
+
+
+def test_schwarz_rejects_a_slightly_larger_ball_of_as_many_cells():
+    # A permutation onto cells 1.5 % larger would raise the integral by
+    # exactly 1.5 %: the result would not be equimeasurable with the source.
+    grid = make_square_grid(1.0, 32)
+    target = make_ball_grid(2, 1.015, grid.num_cells)
+    field = ScalarField(grid, np.random.default_rng(2).uniform(0, 1, grid.num_cells))
+    with pytest.raises(ValueError, match="equal cell measures"):
+        schwarz_rearrangement(field, target)
+    stack = zero_stack(grid, 2)
+    stack.values[1:-1] = field.values
+    with pytest.raises(ValueError, match="equal cell measures"):
+        steiner_rearrangement(stack, target)
 
 
 def test_schwarz_rank_rejects_cell_count_mismatch():

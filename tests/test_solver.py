@@ -6,10 +6,10 @@ import scipy.sparse.linalg as spla
 from anisosym import (DiscreteProblem, make_ball_grid, make_disk_grid,
                       make_interval_grid, make_p_laplacian, make_square_grid,
                       moreau_yosida, sample_slices, shifted_p, solve_stack,
-                      solve_symmetrized, steiner_rearrangement, y_interpolant,
-                      zero_stack)
+                      solve_symmetrized, steiner_rearrangement, y_interpolant)
 from anisosym import solver
 from anisosym.grids import SliceStack
+from oracles import zero_stack
 
 
 def problem_functional(prob):
