@@ -17,18 +17,16 @@ from .nonlinearity import (Nonlinearity, RegularizedNonlinearity,
                            ValidationReport, from_beta_table,
                            hypothesis_samples, make_p_laplacian,
                            moreau_yosida, shifted_p, validate_hypotheses)
-from .rearrange import (MassFunction, Profile, ScalarField, StepData,
-                        decreasing_rearrangement, mass_function,
-                        schwarz_rearrangement, steiner_rearrangement)
+from .rearrange import ScalarField, schwarz_rearrangement, steiner_rearrangement
 from .solver import (DiscreteProblem, DiscreteSolution, SolverError,
                      YInterpolant, radial_order_violation, solve_stack,
                      solve_symmetrized, y_interpolant)
-from .mass_ode import (AccretivityReport, MassOperator, MassSystem,
-                       ResolventError, mass_functions_from_stack,
-                       random_mass_functions, solve_mass_system,
-                       subsolution_slack, t_accretivity_check)
+from .mass_ode import (AccretivityReport, MassOperator, ResolventError,
+                       mass_functions_from_stack, random_mass_functions,
+                       solve_mass_system, subsolution_slack,
+                       t_accretivity_check)
 from .compare import (ComparisonError, ComparisonReport, PipelineError,
                       SweepReport, epsilon_tau_sweep, h_refinement_study,
-                      mollify_stack, pipeline_subsolution_slack,
-                      verify_lq_consequence, verify_mass_comparison)
+                      mollify_stack, verify_lq_consequence,
+                      verify_mass_comparison)
 from .config import ConfigError, ExperimentConfig, compile_expression, parse_config

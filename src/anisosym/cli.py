@@ -20,12 +20,12 @@ import scipy
 
 from . import __version__
 from .compare import (ComparisonError, PipelineError, epsilon_tau_sweep,
-                      h_refinement_study, pipeline_subsolution_slack,
-                      solvable_law, verify_lq_consequence,
+                      h_refinement_study, solvable_law, verify_lq_consequence,
                       verify_mass_comparison)
 from .config import ConfigError, parse_config
 from .grids import make_radial_grid, sample_slices
-from .mass_ode import MassOperator, t_accretivity_check
+from .mass_ode import (MassOperator, mass_functions_from_stack,
+                       subsolution_slack, t_accretivity_check)
 from .solver import DiscreteProblem, SolverError, solve_stack
 
 
@@ -117,7 +117,8 @@ def _cmd_star_check(cfg, args, out_dir, manifest, seed):
     f = sample_slices(grid, cfg["slices.N"], cfg.data_function())
     sol = solve_stack(DiscreteProblem(grid, nl, f), tol=cfg["tol"],
                       max_iter=cfg["max_iter"])
-    slack = pipeline_subsolution_slack(sol.stack, f, nl, s_grid)
+    slack = subsolution_slack(mass_functions_from_stack(sol.stack, s_grid),
+                              mass_functions_from_stack(f, s_grid)[1:-1], op, f.h)
     manifest.wall_clock["subsolution"] = time.perf_counter() - t0
     sub_path = os.path.join(out_dir, "subsolution.csv")
     with open(sub_path, "w") as fh:

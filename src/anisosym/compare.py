@@ -25,8 +25,7 @@ import numpy as np
 
 from .grids import (_resolve_grading, make_radial_grid, sample_slices,
                     symmetrized_grid, SliceStack)
-from .mass_ode import MassOperator, MassSystem, mass_functions_from_stack, \
-    solve_mass_system, subsolution_slack
+from .mass_ode import MassOperator, mass_functions_from_stack, solve_mass_system
 from .nonlinearity import moreau_yosida
 from .rearrange import steiner_rearrangement
 from .solver import DiscreteProblem, solve_stack, solve_symmetrized, y_interpolant
@@ -156,20 +155,16 @@ def verify_mass_comparison(grid, nl, f_fn, N=7, M=64, grading="auto",
     def build_masses():
         return [mass_functions_from_stack(st, s_grid) for st in (u_sol.stack, v_sol.stack, f)]
 
-    U_list, V_list, F_list = _stage("mass", build_masses, timings)
+    U_mass, V_mass, F_mass = _stage("mass", build_masses, timings)
 
     ode_counters = {}
+    V_ode = _stage("ode", lambda: solve_mass_system(
+        MassOperator(s_grid, law), h, F_mass[1:-1], tol=1e-9, init=V_mass[1:-1],
+        counters=ode_counters), timings)
 
-    def solve_ode():
-        system = MassSystem(MassOperator(s_grid, law), h, F_list[1:-1])
-        return solve_mass_system(system, tol=1e-9, init=V_list[1:-1],
-                                 counters=ode_counters)
-
-    V_ode = _stage("ode", solve_ode, timings)
-
-    Uarr = np.stack([U_list[j].values[1:] for j in range(1, N + 1)])
-    Varr = np.stack([V_list[j].values[1:] for j in range(1, N + 1)])
-    Vode = np.stack([V_ode[j][1:] for j in range(1, N + 1)])
+    Uarr = U_mass[1:-1, 1:]
+    Varr = V_mass[1:-1, 1:]
+    Vode = V_ode[1:-1, 1:]
     gap = Varr - Uarr
     worst = float(gap.min())
     mutual = float(np.max(np.abs(Vode - Varr)))
@@ -328,9 +323,3 @@ def h_refinement_study(grid, nl, f_fn, N_list, M=64, slack_c=10.0, tol=1e-9, **k
               for i, (N, rep) in enumerate(results)]
     return SweepReport("h", points, checks, reports=[rep for _, rep in results])
 
-
-def pipeline_subsolution_slack(u_stack, f_stack, law, s_grid):
-    """Slack of the subsolution inequalities for a solved stack and its data."""
-    return subsolution_slack(mass_functions_from_stack(u_stack, s_grid),
-                             mass_functions_from_stack(f_stack, s_grid)[1:-1],
-                             MassOperator(s_grid, law), f_stack.h)

@@ -104,47 +104,37 @@ def _floats(v):
     return tuple(float(tok) for tok in v.split())
 
 
-# (section, key) -> (parser, validator or None, description)
+# (section, key) -> (parser, validator or None, description, default)
 _SCHEMA = {
     ("problem", "nl.kind"): (str, lambda v: v in ("p_laplacian", "shifted_p", "table"),
-                             "p_laplacian | shifted_p | table"),
-    ("problem", "nl.p"): (float, lambda v: v > 1.0, "> 1"),
-    ("problem", "nl.tau"): (float, lambda v: v >= 0.0, ">= 0"),
-    ("problem", "nl.table"): (str, None, "path to (t, beta) table"),
+                             "p_laplacian | shifted_p | table", "p_laplacian"),
+    ("problem", "nl.p"): (float, lambda v: v > 1.0, "> 1", 2.0),
+    ("problem", "nl.tau"): (float, lambda v: v >= 0.0, ">= 0", 0.0),
+    ("problem", "nl.table"): (str, None, "path to (t, beta) table", None),
     ("problem", "omega1.kind"): (str, lambda v: v in ("interval", "square", "disk"),
-                                 "interval | square | disk"),
-    ("problem", "omega1.size"): (float, lambda v: v > 0.0, "> 0"),
-    ("problem", "omega1.resolution"): (int, lambda v: v >= 4, ">= 4"),
-    ("problem", "slices.N"): (int, lambda v: v >= 1, ">= 1"),
-    ("problem", "sgrid.M"): (int, lambda v: v >= 4, ">= 4"),
+                                 "interval | square | disk", "interval"),
+    ("problem", "omega1.size"): (float, lambda v: v > 0.0, "> 0", 1.0),
+    ("problem", "omega1.resolution"): (int, lambda v: v >= 4, ">= 4", 64),
+    ("problem", "slices.N"): (int, lambda v: v >= 1, ">= 1", 7),
+    ("problem", "sgrid.M"): (int, lambda v: v >= 4, ">= 4", 64),
     ("problem", "sgrid.grading"): (str, lambda v: v in ("auto", "uniform", "sqrt"),
-                                   "auto | uniform | sqrt"),
-    ("problem", "f.expr"): (str, None, "expression in x[,x1,x2,r], y"),
-    ("problem", "f.csv"): (str, None, "path to gridded data (j,cell,value)"),
-    ("problem", "f.mollify"): (float, lambda v: v >= 0.0, ">= 0"),
-    ("solver", "tol"): (float, lambda v: v > 0.0, "> 0"),
-    ("solver", "max_iter"): (int, lambda v: v >= 1, ">= 1"),
-    ("solver", "regularization.eps"): (float, lambda v: v > 0.0, "> 0"),
-    ("solver", "regularization.tau"): (float, lambda v: v >= 0.0, ">= 0"),
-    ("verify", "slack_c"): (float, lambda v: v > 0.0, "> 0"),
-    ("verify", "lq"): (_floats, lambda v: all(q >= 1.0 for q in v), "space-separated q >= 1"),
-    ("verify", "radial_tol"): (float, lambda v: v > 0.0, "> 0"),
-    ("verify", "trials"): (int, lambda v: v >= 1, ">= 1"),
-    ("verify", "lambdas"): (_floats, lambda v: all(l > 0.0 for l in v), "space-separated > 0"),
-    ("verify", "seed"): (int, None, "rng seed"),
-    ("output", "dir"): (str, None, "output directory"),
-}
-
-_DEFAULTS = {
-    "nl.kind": "p_laplacian", "nl.p": 2.0, "nl.tau": 0.0, "nl.table": None,
-    "omega1.kind": "interval", "omega1.size": 1.0, "omega1.resolution": 64,
-    "slices.N": 7, "sgrid.M": 64, "sgrid.grading": "auto",
-    "f.expr": None, "f.csv": None, "f.mollify": 0.0,
-    "tol": 1e-9, "max_iter": 500,
-    "regularization.eps": 1e-6, "regularization.tau": 1e-6,
-    "slack_c": 10.0, "lq": (1.0, 2.0), "radial_tol": 1e-8,
-    "trials": 1000, "lambdas": (0.01, 1.0, 100.0), "seed": 12345,
-    "dir": "out",
+                                   "auto | uniform | sqrt", "auto"),
+    ("problem", "f.expr"): (str, None, "expression in x[,x1,x2,r], y", None),
+    ("problem", "f.csv"): (str, None, "path to gridded data (j,cell,value)", None),
+    ("problem", "f.mollify"): (float, lambda v: v >= 0.0, ">= 0", 0.0),
+    ("solver", "tol"): (float, lambda v: v > 0.0, "> 0", 1e-9),
+    ("solver", "max_iter"): (int, lambda v: v >= 1, ">= 1", 500),
+    ("solver", "regularization.eps"): (float, lambda v: v > 0.0, "> 0", 1e-6),
+    ("solver", "regularization.tau"): (float, lambda v: v >= 0.0, ">= 0", 1e-6),
+    ("verify", "slack_c"): (float, lambda v: v > 0.0, "> 0", 10.0),
+    ("verify", "lq"): (_floats, lambda v: all(q >= 1.0 for q in v),
+                       "space-separated q >= 1", (1.0, 2.0)),
+    ("verify", "radial_tol"): (float, lambda v: v > 0.0, "> 0", 1e-8),
+    ("verify", "trials"): (int, lambda v: v >= 1, ">= 1", 1000),
+    ("verify", "lambdas"): (_floats, lambda v: all(l > 0.0 for l in v),
+                            "space-separated > 0", (0.01, 1.0, 100.0)),
+    ("verify", "seed"): (int, None, "rng seed", 12345),
+    ("output", "dir"): (str, None, "output directory", "out"),
 }
 
 
@@ -208,7 +198,7 @@ def parse_config(text, base_dir="."):
     """Parse and validate; raises ConfigError carrying every found problem."""
     errors = []
     seen = {}
-    values = dict(_DEFAULTS)
+    values = {key: spec[3] for (_, key), spec in _SCHEMA.items()}
     sections = {"problem", "solver", "verify", "output"}
     section = None
     for ln, rawline in enumerate(text.splitlines(), start=1):
@@ -243,7 +233,7 @@ def parse_config(text, base_dir="."):
             errors.append((ln, f"duplicate key {key!r}; first set on line {seen[(section, key)]}"))
             continue
         seen[(section, key)] = ln
-        parser, validator, desc = spec
+        parser, validator, desc, _ = spec
         try:
             parsed = parser(val)
         except ValueError:

@@ -15,6 +15,10 @@ T-accretive in the sup norm: resolvents are order preserving and
 non-expansive, which closes the slice-wise comparison through the positive
 definiteness of the second-difference matrix D2 = C^t C.
 
+A mass function is a row of node values U(s_0..s_M); the slices of a
+stack make one (N+2, M+1) array whose boundary rows are zero
+(``mass_functions_from_stack``).
+
 ``solve_mass_system`` solves the coupled system by Gauss-Seidel sweeps of
 the resolvent, smoothed by damped Newton corrections on all N x M interior
 unknowns.  In node-major order the Jacobian is banded with half-bandwidth
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
 
-from .rearrange import MassFunction, ScalarField, decreasing_rearrangement, mass_function
+from .rearrange import ScalarField
 
 
 class ResolventError(RuntimeError):
@@ -43,11 +47,10 @@ class ResolventError(RuntimeError):
 _MAX_OUTER = 50
 #: Newton steps of one resolvent solve.
 _MAX_NEWTON = 80
-
-
-def _values(mass):
-    """Node values of a MassFunction, or of an array of node values."""
-    return mass.values if isinstance(mass, MassFunction) else np.asarray(mass, float)
+#: Largest second difference ``MassOperator.apply`` accepts as concave.
+_CONCAVITY_TOL = 1e-10
+#: Margin below zero that ``t_accretivity_check`` counts as a violation.
+_ACCRETIVITY_TOL = 1e-9
 
 
 def _odd_beta(nl, t):
@@ -101,12 +104,12 @@ class MassOperator:
         return (self._cm * U[..., 0:M] + self._cc * U[..., 1:M + 1]
                 + self._cp * pad[..., 2:M + 2])
 
-    def apply(self, U, check_concavity=True, concavity_tol=1e-10):
+    def apply(self, U, check_concavity=True):
         """Operator values at nodes 1..M for a concave mass function."""
         d2 = self.second_difference(U)
-        if check_concavity and np.max(d2) > concavity_tol:
+        if check_concavity and np.max(d2) > _CONCAVITY_TOL:
             raise ValueError(
-                f"second difference reaches {np.max(d2):.3e} > {concavity_tol:.1e}; "
+                f"second difference reaches {np.max(d2):.3e} > {_CONCAVITY_TOL:.1e}; "
                 "input is not (discretely) concave")
         t = np.clip(-self.kappa * d2, 0.0, None)
         return self.kappa * self.nl.beta(t)
@@ -177,8 +180,7 @@ def random_mass_functions(op, count, rng, scale=1.0):
     return np.concatenate([np.zeros((count, 1)), np.cumsum(seg, axis=1)], axis=1)
 
 
-def t_accretivity_check(op, trials=1000, lambdas=(0.01, 1.0, 100.0),
-                        rng=None, tolerance=1e-9):
+def t_accretivity_check(op, trials=1000, lambdas=(0.01, 1.0, 100.0), rng=None):
     """Check the sup-norm accretivity inequality on random domain pairs.
 
     For mass functions U, V and every lambda > 0 the positive parts must
@@ -198,44 +200,33 @@ def t_accretivity_check(op, trials=1000, lambdas=(0.01, 1.0, 100.0),
         rhs = np.max(np.clip(D + lam * (AU - AV), 0.0, None), axis=1)
         margins = rhs - lhs
         worst = min(worst, float(margins.min()))
-        violations += int(np.sum(margins < -tolerance))
-    return AccretivityReport(trials, tuple(lambdas), worst, violations, tolerance)
+        violations += int(np.sum(margins < -_ACCRETIVITY_TOL))
+    return AccretivityReport(trials, tuple(lambdas), worst, violations, _ACCRETIVITY_TOL)
 
 
 def mass_functions_from_stack(stack, s_grid):
-    """Mass functions of every slice (zero functions at the boundaries)."""
-    out = []
-    zero = MassFunction(s_grid, np.zeros_like(s_grid.s_nodes))
-    for j in range(stack.values.shape[0]):
-        if j == 0 or j == stack.values.shape[0] - 1:
-            out.append(zero)
-        else:
-            prof = decreasing_rearrangement(ScalarField(stack.grid, stack.values[j]), s_grid)
-            out.append(mass_function(prof))
-    return out
+    """Mass functions U_j(s) = int_0^s u_j* of a stack, one row per slice.
 
-
-@dataclass(eq=False)
-class MassSystem:
-    """The coupled rearranged system: N equations tied by second differences.
-
-    ``F`` holds the interior data mass functions F_1..F_N (non-decreasing,
-    concave, vanishing at 0).
+    Returns the (N+2, M+1) array of U_j at the s-nodes, with zero boundary
+    rows.  Each interior slice is sorted decreasingly, and the step
+    function that makes (the k-th value on the k-th cell measure) is
+    integrated exactly, so equimeasurability holds to rounding error.
     """
-
-    op: MassOperator
-    h: float
-    F: list
-
-    def __post_init__(self):
-        for j, Fj in enumerate(self.F, start=1):
-            v = _values(Fj)
-            if v[0] != 0.0 or np.any(np.diff(v) < -1e-12 * max(1.0, v.max())):
-                raise ValueError(f"F_{j} must be non-decreasing with F(0) = 0")
-
-    @property
-    def num_interior(self):
-        return len(self.F)
+    rows = stack.values[1:-1]
+    for row in rows:
+        ScalarField(stack.grid, row).require_nonneg()
+    vals = -np.sort(-rows, axis=1)
+    m = rows.shape[1]
+    cum = np.cumsum(np.full(m, stack.grid.cell_measure))
+    cum0 = np.concatenate([[0.0], cum])
+    mass0 = np.zeros((len(rows), m + 1))
+    mass0[:, 1:] = np.cumsum(vals * np.diff(cum0), axis=1)
+    s = s_grid.s_nodes
+    idx = np.minimum(np.searchsorted(cum, s, side="right"), m - 1)
+    out = np.zeros((len(rows) + 2, len(s)))
+    out[1:-1] = np.where(s >= cum[-1], mass0[:, -1:],
+                         mass0[:, idx] + vals[:, idx] * np.clip(s - cum0[idx], 0.0, None))
+    return out
 
 
 def _mass_residual(op, lam, lamF, V):
@@ -310,39 +301,43 @@ def _newton_correction(op, lam, lamF, V, r, ab):
     return None
 
 
-def solve_mass_system(sys, tol=1e-10, init=None, counters=None):
+def solve_mass_system(op, h, F, tol=1e-10, init=None, counters=None):
     """Gauss-Seidel over the slices, smoothed by banded Newton corrections.
 
-    Each sweep solves  V_j + (h^2/2) L V_j = (h^2/2) F_j + (V_{j-1}+V_{j+1})/2
-    for j = 1..N with the resolvent; the iteration stops when the
-    full-system residual drops below ``tol`` (times the data scale), and
-    otherwise takes one damped Newton step on all N x M unknowns before the
-    next sweep.  ``init`` may carry warm-start values (arrays or
-    MassFunctions) for the interior slices.  ``counters``, when given,
-    receives the ``sweeps`` and ``newton_steps`` taken.
+    ``F`` holds the (N, M+1) interior data rows F_1..F_N (non-decreasing,
+    concave, vanishing at 0).  Each sweep solves
+    V_j + (h^2/2) L V_j = (h^2/2) F_j + (V_{j-1}+V_{j+1})/2  for j = 1..N
+    with the resolvent; the iteration stops when the full-system residual
+    drops below ``tol`` (times the data scale), and otherwise takes one
+    damped Newton step on all N x M unknowns before the next sweep.
+    ``init`` may carry (N, M+1) warm-start rows for the interior slices.
+    ``counters``, when given, receives the ``sweeps`` and ``newton_steps``
+    taken.  Returns the (N+2, M+1) solution, zero boundary rows included.
     """
-    op, h, N = sys.op, sys.h, sys.num_interior
+    F = np.asarray(F, dtype=float)
+    drop = np.diff(F, axis=1) < -1e-12 * np.maximum(1.0, F.max(axis=1))[:, None]
+    bad = (F[:, 0] != 0.0) | np.any(drop, axis=1)
+    if np.any(bad):
+        raise ValueError(f"F_{int(np.argmax(bad)) + 1} must be non-decreasing with F(0) = 0")
+    N = F.shape[0]
     lam = h ** 2 / 2.0
-    Fs = [_values(F) for F in sys.F]
-    lamF = lam * np.stack([F[1:] for F in Fs])
-    M1 = len(op.s_grid.s_nodes)
-    V = np.zeros((N + 2, M1))
+    lamF = lam * F[:, 1:]
+    V = np.zeros((N + 2, F.shape[1]))
     if init is not None:
-        for j in range(1, N + 1):
-            V[j] = _values(init[j - 1])
-    scale = max(1.0, max(float(np.max(np.abs(F))) for F in Fs))
+        V[1:-1] = init
+    scale = max(1.0, float(np.max(np.abs(F))))
     counters = {} if counters is None else counters
     counters.update(sweeps=0, newton_steps=0)
     ab = np.zeros((3 * N + 1, N * op.M), order="F")
     for _ in range(_MAX_OUTER):
         counters["sweeps"] += 1
         for j in range(1, N + 1):
-            G = lam * Fs[j - 1] + 0.5 * (V[j - 1] + V[j + 1])
+            G = lam * F[j - 1] + 0.5 * (V[j - 1] + V[j + 1])
             V[j] = op.resolvent(lam, G, tol=min(tol, 1e-11))
         r = _mass_residual(op, lam, lamF, V)
         res = float(np.max(np.abs(r)))
         if res <= tol * scale:
-            return [V[j] for j in range(N + 2)]
+            return V
         corrected = _newton_correction(op, lam, lamF, V, r, ab)
         if corrected is not None:
             V = corrected[0]
@@ -352,23 +347,20 @@ def solve_mass_system(sys, tol=1e-10, init=None, counters=None):
         f"(residual {res:.3e}); this usually indicates inconsistent data")
 
 
-def subsolution_slack(U_list, F_list, op, h):
+def subsolution_slack(U, F, op, h):
     """Per-node slack  F_j - L U_j + (U_{j+1} - 2U_j + U_{j-1})/h^2.
 
-    Nonnegative for exact subsolutions; mass functions built from solved
-    stacks satisfy it up to discretization error.  Rows cover the interior
-    slices, columns the nodes s_1..s_M.
+    ``U`` holds the (N+2, M+1) mass functions of a stack, boundary rows
+    included, and ``F`` the (N, M+1) interior data rows.  Nonnegative for
+    exact subsolutions; mass functions built from solved stacks satisfy it
+    up to discretization error.  Rows cover the interior slices, columns
+    the nodes s_1..s_M.
 
     Differencing U twice resolves the kinks of the cell-wise profile, so
     the radial grid should be coarser than the cell measure (two or more
     cells per s-interval); aligned grids alias the interleaved level-set
     branches of unimodal slices into slope oscillations.
     """
-    N = len(U_list) - 2
-    arrays = [_values(u) for u in U_list]
-    Fs = [_values(f) for f in F_list]
-    out = np.empty((N, op.M))
-    for j in range(1, N + 1):
-        ydiff = (arrays[j + 1][1:] - 2.0 * arrays[j][1:] + arrays[j - 1][1:]) / h ** 2
-        out[j - 1] = Fs[j - 1][1:] - op.apply(arrays[j], check_concavity=False) + ydiff
-    return out
+    U = np.asarray(U, dtype=float)
+    ydiff = (U[2:, 1:] - 2.0 * U[1:-1, 1:] + U[:-2, 1:]) / h ** 2
+    return np.asarray(F, dtype=float)[:, 1:] - op.apply(U[1:-1], check_concavity=False) + ydiff

@@ -133,7 +133,7 @@ def _tabulated(ts, bs):
     return beta, antideriv, dbeta, slopes
 
 
-def from_beta_table(table, p=2.0, C1=1.0, C2=1.0):
+def from_beta_table(table, p=2.0):
     """Law from tabulated (t, beta) pairs, piecewise linear in between.
 
     ``table`` is an (k, 2) array or a path to a two-column text file; the
@@ -153,7 +153,7 @@ def from_beta_table(table, p=2.0, C1=1.0, C2=1.0):
     beta, antideriv, dbeta, slopes = _tabulated(ts, bs)
     lo, hi = slopes.min(), slopes.max()
     eps = min(lo, 1.0 / hi) if lo > 0 and hi > 0 else None
-    return Nonlinearity("table", float(p), beta, antideriv, C1, C2, dbeta, eps)
+    return Nonlinearity("table", float(p), beta, antideriv, dbeta=dbeta, smooth_eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +188,16 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def hypothesis_samples(sample_count=256, t_min=1e-6, t_max=1e3):
-    """The log-spaced sample set on (0, t_max] used by validate_hypotheses."""
-    return np.geomspace(t_min, t_max, sample_count)
+#: End points of the log-spaced samples of ``validate_hypotheses``.
+_T_MIN, _T_MAX = 1e-6, 1e3
 
 
-def validate_hypotheses(nl, sample_count=256, t_min=1e-6, t_max=1e3):
+def hypothesis_samples(sample_count=256):
+    """The log-spaced sample set on (0, 1e3] used by validate_hypotheses."""
+    return np.geomspace(_T_MIN, _T_MAX, sample_count)
+
+
+def validate_hypotheses(nl, sample_count=256):
     """Sampling-based check of monotonicity, growth bounds and convexity.
 
     The verdict is only about the sampled range; the report records it.
@@ -201,7 +205,7 @@ def validate_hypotheses(nl, sample_count=256, t_min=1e-6, t_max=1e3):
     """
     if sample_count < 3:
         raise ValueError("need at least 3 samples")
-    ts = hypothesis_samples(sample_count, t_min, t_max)
+    ts = hypothesis_samples(sample_count)
     bvals = nl.beta(ts)
     avals = nl.A(ts)
     slack = 1e-12 * max(1.0, float(np.abs(bvals).max()))

@@ -1,10 +1,9 @@
-"""Measure-theoretic core: rearrangements and mass functions.
+"""Measure-theoretic core: Schwarz and Steiner rearrangement on cell grids.
 
-The exact carrier of a rearrangement here is the sorted-cell step function
-(``StepData``): cell values in decreasing order with their accumulated
-measures.  Mass functions are integrated exactly from the steps, so
-equimeasurability identities hold to rounding error rather than to
-quadrature error.  Grid sampling onto a ``RadialGrid`` is layered on top.
+A rearrangement here is a permutation of cell values: the k-th largest
+value goes to the k-th cell of the ball grid in |x| order, so source and
+result are exactly equimeasurable.  The mass functions U(s) of the
+rearranged slices are built in ``mass_ode``, which owns their format.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import CellGrid, RadialGrid, SliceStack, symmetrized_grid
+from .grids import CellGrid, SliceStack, symmetrized_grid
 
 
 @dataclass(eq=False)
@@ -33,96 +32,6 @@ class ScalarField:
     def require_nonneg(self):
         if np.any(self.values < 0.0):
             raise ValueError("operation requires a nonnegative field")
-
-@dataclass(eq=False)
-class StepData:
-    """Right-continuous decreasing step function on (0, total_measure).
-
-    ``values`` are sorted decreasingly; ``cum`` holds accumulated measures,
-    so the function equals values[k] on [cum[k-1], cum[k]).
-    """
-
-    values: np.ndarray
-    cum: np.ndarray
-
-    @classmethod
-    def from_field(cls, field):
-        field.require_nonneg()
-        order = np.argsort(-field.values, kind="stable")
-        vals = field.values[order]
-        cum = np.cumsum(np.full(len(vals), field.grid.cell_measure))
-        return cls(vals, cum)
-
-    @property
-    def total(self):
-        return float(self.cum[-1])
-
-    def value_at(self, s):
-        """Right-continuous evaluation; zero at and beyond the total measure."""
-        s = np.asarray(s, dtype=float)
-        idx = np.searchsorted(self.cum, s, side="right")
-        padded = np.concatenate([self.values, [0.0]])
-        out = padded[np.minimum(idx, len(self.values))]
-        return float(out) if out.ndim == 0 else out
-
-    def integral_to(self, s):
-        """Exact integral of the step function over (0, s)."""
-        s = np.asarray(s, dtype=float)
-        cum0 = np.concatenate([[0.0], self.cum])
-        mass0 = np.concatenate([[0.0], np.cumsum(self.values * np.diff(cum0))])
-        idx = np.searchsorted(self.cum, s, side="right")
-        idx = np.minimum(idx, len(self.values) - 1)
-        out = mass0[idx] + self.values[idx] * np.clip(s - cum0[idx], 0.0, None)
-        out = np.where(s >= self.total, mass0[-1], out)
-        return float(out) if out.ndim == 0 else out
-
-@dataclass(eq=False)
-class Profile:
-    """Decreasing rearrangement sampled on a radial grid.
-
-    The values are right-continuous samples of the exact step function
-    ``steps``, which rides along.
-    """
-
-    s_grid: RadialGrid
-    values: np.ndarray
-    steps: StepData
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.s_grid.s_nodes.shape:
-            raise ValueError("profile must hold one value per s-node")
-        if np.any(np.diff(self.values) > 1e-12 * max(1.0, np.abs(self.values).max())):
-            raise ValueError("profile values must be non-increasing")
-
-
-@dataclass(eq=False)
-class MassFunction:
-    """Running integral U(s) of a decreasing profile; concave, U(0) = 0."""
-
-    s_grid: RadialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.s_grid.s_nodes.shape:
-            raise ValueError("mass function must hold one value per s-node")
-        if self.values[0] != 0.0:
-            raise ValueError("mass function must vanish at s = 0")
-
-
-def decreasing_rearrangement(field, s_grid):
-    """Sort cells by value, accumulate measures, sample onto the s-grid."""
-    steps = StepData.from_field(field)
-    return Profile(s_grid, steps.value_at(s_grid.s_nodes), steps)
-
-
-def mass_function(profile):
-    """Cumulative integral of the profile, exact from its step data."""
-    vals = profile.steps.integral_to(profile.s_grid.s_nodes)
-    vals = np.asarray(vals, dtype=float)
-    vals[0] = 0.0
-    return MassFunction(profile.s_grid, vals)
 
 
 def schwarz_rearrangement(field, target):

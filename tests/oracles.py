@@ -1,27 +1,67 @@
 """Independent oracles for the test suite.
 
-These check the library from outside: exact measure identities of the
-sorted-cell step function, the Hardy-Littlewood and Polya-Szego
-inequalities, the L^1 contraction of rearrangement, the exact C^t C = D2
-factorization of the second-difference matrix, and the monotonicity of the
-flux beta(|g|) g/|g|.  Nothing in the pipeline calls them.
+These check the library from outside: the sorted-cell step function that
+is the reference for the library's mass functions, its exact measure
+identities, the Hardy-Littlewood and Polya-Szego inequalities, the L^1
+contraction of rearrangement, the exact C^t C = D2 factorization of the
+second-difference matrix, and the monotonicity of the flux
+beta(|g|) g/|g|.  Nothing in the pipeline calls them.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from anisosym import SliceStack, gradient_functional, symmetrized_grid
-from anisosym import rearrange
 from anisosym.nonlinearity import TINY_T
 
 # Measure of the unit ball in R^n.
 BALL_MEASURE = {1: 2.0, 2: float(np.pi)}
 
 
-class StepData(rearrange.StepData):
-    """The library's step function with the reads only tests make."""
+@dataclass(eq=False)
+class StepData:
+    """Right-continuous decreasing step function on (0, total_measure).
+
+    ``values`` are sorted decreasingly; ``cum`` holds accumulated measures,
+    so the function equals values[k] on [cum[k-1], cum[k]).
+    """
+
+    values: np.ndarray
+    cum: np.ndarray
+
+    @classmethod
+    def from_field(cls, field):
+        field.require_nonneg()
+        order = np.argsort(-field.values, kind="stable")
+        vals = field.values[order]
+        cum = np.cumsum(np.full(len(vals), field.grid.cell_measure))
+        return cls(vals, cum)
+
+    @property
+    def total(self):
+        return float(self.cum[-1])
+
+    def value_at(self, s):
+        """Right-continuous evaluation; zero at and beyond the total measure."""
+        s = np.asarray(s, dtype=float)
+        idx = np.searchsorted(self.cum, s, side="right")
+        padded = np.concatenate([self.values, [0.0]])
+        out = padded[np.minimum(idx, len(self.values))]
+        return float(out) if out.ndim == 0 else out
+
+    def integral_to(self, s):
+        """Exact integral of the step function over (0, s)."""
+        s = np.asarray(s, dtype=float)
+        cum0 = np.concatenate([[0.0], self.cum])
+        mass0 = np.concatenate([[0.0], np.cumsum(self.values * np.diff(cum0))])
+        idx = np.searchsorted(self.cum, s, side="right")
+        idx = np.minimum(idx, len(self.values) - 1)
+        out = mass0[idx] + self.values[idx] * np.clip(s - cum0[idx], 0.0, None)
+        out = np.where(s >= self.total, mass0[-1], out)
+        return float(out) if out.ndim == 0 else out
 
     def integral_power(self, q):
         """Exact integral of value^q over (0, total)."""
@@ -76,11 +116,11 @@ def hardy_littlewood_gap(field, s, max_exhaustive=200000, trials=2000, rng=None)
 
 
 def l1_profile_distance(a, b):
-    """Exact L^1 distance between two step profiles on the same (0, L)."""
-    pts = np.union1d(a.steps.cum, b.steps.cum)
+    """Exact L^1 distance between two step functions on the same (0, L)."""
+    pts = np.union1d(a.cum, b.cum)
     pts = np.concatenate([[0.0], pts])
     mids = 0.5 * (pts[1:] + pts[:-1])
-    da = a.steps.value_at(mids) - b.steps.value_at(mids)
+    da = a.value_at(mids) - b.value_at(mids)
     return float(np.sum(np.abs(da) * np.diff(pts)))
 
 

@@ -5,14 +5,20 @@ from anisosym import (MassOperator, epsilon_tau_sweep,
                       h_refinement_study, make_ball_grid, make_interval_grid,
                       make_p_laplacian, make_radial_grid, make_square_grid,
                       mass_functions_from_stack, moreau_yosida, mollify_stack,
-                      pipeline_subsolution_slack, sample_slices,
-                      steiner_rearrangement, verify_lq_consequence,
-                      verify_mass_comparison)
+                      sample_slices, steiner_rearrangement, subsolution_slack,
+                      verify_lq_consequence, verify_mass_comparison)
 from oracles import zero_stack
 
 
 def bump(c, y):
     return np.exp(-60 * (c[:, 0] - 0.3) ** 2) * (1 + 0.5 * np.sin(np.pi * y))
+
+
+def pipeline_slack(u_stack, f_stack, law, s_grid):
+    """Subsolution slack of a solved stack and its data, as ``star-check`` computes it."""
+    return subsolution_slack(mass_functions_from_stack(u_stack, s_grid),
+                             mass_functions_from_stack(f_stack, s_grid)[1:-1],
+                             MassOperator(s_grid, law), f_stack.h)
 
 
 def test_symmetric_data_is_a_fixed_point():
@@ -185,7 +191,7 @@ def test_subsolution_slack_from_pipeline():
     f_stack = sample_slices(g, N, bump)
     law = moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6)
     s_grid = make_radial_grid(1, g.total_measure, M)
-    slack = pipeline_subsolution_slack(rep.u_stack, f_stack, law, s_grid)
+    slack = pipeline_slack(rep.u_stack, f_stack, law, s_grid)
     assert slack.min() >= -1e-3
 
 
@@ -197,7 +203,7 @@ def test_subsolution_slack_shrinks_under_refinement():
         f_stack = sample_slices(g, N, bump)
         law = moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6)
         s_grid = make_radial_grid(1, g.total_measure, M)
-        slack = pipeline_subsolution_slack(rep.u_stack, f_stack, law, s_grid)
+        slack = pipeline_slack(rep.u_stack, f_stack, law, s_grid)
         worst.append(max(0.0, -float(slack.min())))
     assert worst[1] <= worst[0]
 
@@ -217,11 +223,11 @@ def test_resolvent_comparison_chain():
     lam = h ** 2 / 2.0
     worst = -np.inf
     for j in range(1, N + 1):
-        LU = op.apply(U[j].values, check_concavity=False)
-        LV = op.apply(V[j].values, check_concavity=False)
-        lhs = lam * (LU - LV) + (U[j].values[1:] - V[j].values[1:])
-        rhs = 0.5 * (U[j + 1].values[1:] - V[j + 1].values[1:]) \
-            + 0.5 * (U[j - 1].values[1:] - V[j - 1].values[1:])
+        LU = op.apply(U[j], check_concavity=False)
+        LV = op.apply(V[j], check_concavity=False)
+        lhs = lam * (LU - LV) + (U[j][1:] - V[j][1:])
+        rhs = 0.5 * (U[j + 1][1:] - V[j + 1][1:]) \
+            + 0.5 * (U[j - 1][1:] - V[j - 1][1:])
         worst = max(worst, float(np.max(lhs - rhs)))
     ds = float(np.max(s_grid.spacings))
     assert worst <= 10.0 * (g.dx + ds) * rep.u_stack.h ** 2

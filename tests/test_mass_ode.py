@@ -3,14 +3,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from anisosym import (MassOperator, MassSystem, ResolventError,
-                      make_interval_grid, make_p_laplacian, make_radial_grid,
+from anisosym import (MassOperator, ResolventError, ScalarField,
+                      make_disk_grid, make_interval_grid, make_p_laplacian,
+                      make_radial_grid, make_square_grid,
                       mass_functions_from_stack, moreau_yosida,
                       random_mass_functions, sample_slices, solve_mass_system,
                       subsolution_slack, t_accretivity_check,
                       verify_mass_comparison)
 from anisosym.mass_ode import _fill_jacobian, _mass_residual
-from oracles import difference_factor, second_difference_matrix, zero_stack
+from oracles import (StepData, difference_factor, second_difference_matrix,
+                     zero_stack)
 
 
 def quad_mass(s_grid, L):
@@ -130,7 +132,7 @@ def test_resolvent_is_the_one_slice_mass_system(n, grading):
     op = MassOperator(s_grid, moreau_yosida(make_p_laplacian(3), 1e-6, 1e-4))
     G = random_mass_functions(op, 1, np.random.default_rng(4))[0]
     U = op.resolvent(1.0 / 8.0, G)
-    V = solve_mass_system(MassSystem(op, 0.5, [8.0 * G]), tol=1e-11)
+    V = solve_mass_system(op, 0.5, [8.0 * G], tol=1e-11)
     assert np.max(np.abs(U - V[1])) <= 1e-10 * max(1.0, np.max(G))
 
 
@@ -213,7 +215,7 @@ def test_mass_system_zero_data():
     s_grid = make_radial_grid(1, 1.0, 16)
     op = MassOperator(s_grid, make_p_laplacian(2))
     F = [np.zeros(17) for _ in range(3)]
-    V = solve_mass_system(MassSystem(op, 0.25, F))
+    V = solve_mass_system(op, 0.25, F)
     assert all(np.allclose(v, 0.0, atol=1e-12) for v in V)
 
 
@@ -224,7 +226,7 @@ def test_mass_system_closed_form_single_slice():
     s_grid = make_radial_grid(1, 1.0, 200)
     op = MassOperator(s_grid, make_p_laplacian(2))
     s = s_grid.s_nodes
-    V = solve_mass_system(MassSystem(op, 0.5, [s.copy()]), tol=1e-12)
+    V = solve_mass_system(op, 0.5, [s.copy()], tol=1e-12)
     r2 = np.sqrt(2.0)
     exact = s / 8.0 - np.sinh(r2 * s) / (8.0 * r2 * np.cosh(r2))
     assert np.max(np.abs(V[1] - exact)) < 2e-5
@@ -240,13 +242,58 @@ def test_subsolution_slack_of_zero_solution_is_the_data():
     assert np.allclose(slack, np.tile(0.3 * s_grid.s_nodes[1:], (3, 1)))
 
 
+@pytest.mark.parametrize("grid", [make_interval_grid(1.0, 24), make_square_grid(1.0, 6),
+                                  make_disk_grid(1.0, 8)], ids=["interval", "square", "disk"])
+@pytest.mark.parametrize("grading", ["uniform", "sqrt"])
+@pytest.mark.parametrize("stretch", [1.0, 1.25])
+def test_mass_functions_match_the_step_function_oracle(grid, grading, stretch):
+    # Row j is the exact integral of slice j's sorted step function, to the
+    # bit; stretch 1.25 puts the last s-nodes beyond the total measure.
+    rng = np.random.default_rng(grid.num_cells)
+    stack = zero_stack(grid, 4)
+    stack.values[1] = rng.uniform(0.0, 2.0, grid.num_cells)
+    stack.values[2] = rng.integers(0, 3, grid.num_cells)      # ties and zeros
+    stack.values[3] = 1.5
+    s_grid = make_radial_grid(grid.n, stretch * grid.total_measure, 12, grading=grading)
+    U = mass_functions_from_stack(stack, s_grid)
+    assert U.shape == (6, 13)
+    assert not U[0].any() and not U[-1].any()
+    for j in range(1, 5):
+        steps = StepData.from_field(ScalarField(grid, stack.values[j]))
+        assert np.array_equal(U[j], steps.integral_to(s_grid.s_nodes))
+    if stretch > 1.0:
+        assert np.sum(s_grid.s_nodes >= steps.total) >= 2
+
+
+def test_mass_functions_reject_negative_and_non_finite_slices():
+    grid = make_interval_grid(1.0, 8)
+    s_grid = make_radial_grid(1, 1.0, 8)
+    stack = zero_stack(grid, 2)
+    stack.values[2, 3] = -1e-3
+    with pytest.raises(ValueError, match="operation requires a nonnegative field"):
+        mass_functions_from_stack(stack, s_grid)
+    stack.values[2, 3] = np.inf
+    with pytest.raises(ValueError, match="field values must be finite"):
+        mass_functions_from_stack(stack, s_grid)
+
+
+def test_mass_system_rejects_data_that_is_not_a_mass_function():
+    s_grid = make_radial_grid(1, 1.0, 8)
+    op = MassOperator(s_grid, make_p_laplacian(2))
+    s = s_grid.s_nodes
+    with pytest.raises(ValueError, match="F_2 must be non-decreasing with F"):
+        solve_mass_system(op, 0.25, [s, 1.0 - s, s])
+    with pytest.raises(ValueError, match="F_3 must be non-decreasing with F"):
+        solve_mass_system(op, 0.25, [s, s, s + 0.1])
+
+
 def test_mass_system_warm_start_agrees_with_cold():
     s_grid = make_radial_grid(1, 1.0, 40)
     op = MassOperator(s_grid, make_p_laplacian(2))
     s = s_grid.s_nodes
     F = [np.minimum(s, 0.6), 0.5 * np.minimum(s, 0.8)]
-    cold = solve_mass_system(MassSystem(op, 1.0 / 3.0, F), tol=1e-11)
-    warm = solve_mass_system(MassSystem(op, 1.0 / 3.0, F), tol=1e-11,
+    cold = solve_mass_system(op, 1.0 / 3.0, F, tol=1e-11)
+    warm = solve_mass_system(op, 1.0 / 3.0, F, tol=1e-11,
                              init=[c.copy() for c in cold[1:-1]])
     for a, b in zip(cold, warm):
         assert np.max(np.abs(a - b)) < 1e-9
@@ -313,7 +360,7 @@ def _ode31_system(centre=0.3, amplitude=1.0):
     F = mass_functions_from_stack(f, s_grid)[1:-1]
     op = MassOperator(s_grid, moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6))
     init = [np.concatenate([[0.0], v]) for v in rep.V]
-    return MassSystem(op, f.h, F), init
+    return (op, f.h, F), init
 
 
 @pytest.fixture(scope="module")
@@ -325,16 +372,16 @@ def test_mass_system_ode31_agrees_with_tight_solve(ode31):
     # Gauss-Seidel alone stopped 1.6e-7 from the tight solve; two Newton
     # corrections leave 1.9e-9, and a third reaches rounding.
     system, init = ode31
-    ref = solve_mass_system(system, tol=1e-14, init=init)
+    ref = solve_mass_system(*system, tol=1e-14, init=init)
     for tol, err in ((1e-9, 1e-8), (1e-11, 1e-12)):
-        V = solve_mass_system(system, tol=tol, init=init)
+        V = solve_mass_system(*system, tol=tol, init=init)
         assert max(np.max(np.abs(a - b)) for a, b in zip(V, ref)) <= err
 
 
 def test_mass_system_ode31_cold_start_sweeps(ode31):
     system, _ = ode31
     counters = {}
-    solve_mass_system(system, tol=1e-9, counters=counters)
+    solve_mass_system(*system, tol=1e-9, counters=counters)
     assert counters["sweeps"] <= 15
     assert counters["newton_steps"] == counters["sweeps"] - 1
 
@@ -346,19 +393,19 @@ def test_mass_system_jittered_ode31_warm_start_sweeps(seed):
     rng = np.random.default_rng(seed)
     system, init = _ode31_system(0.3 + rng.uniform(-0.01, 0.01), rng.uniform(0.97, 1.03))
     counters = {}
-    solve_mass_system(system, tol=1e-9, init=init, counters=counters)
+    solve_mass_system(*system, tol=1e-9, init=init, counters=counters)
     assert counters["sweeps"] <= 5
 
 
 def test_mass_system_solution_is_a_sweep_fixed_point(ode31):
     system, init = ode31
     tol = 1e-9
-    V = solve_mass_system(system, tol=tol, init=init)
-    op, lam = system.op, system.h ** 2 / 2.0
-    Fs = [np.asarray(F.values) for F in system.F]
+    V = solve_mass_system(*system, tol=tol, init=init)
+    op, h, Fs = system
+    lam = h ** 2 / 2.0
     scale = max(1.0, max(float(np.max(np.abs(F))) for F in Fs))
     W = [v.copy() for v in V]
-    for j in range(1, system.num_interior + 1):
+    for j in range(1, len(Fs) + 1):
         W[j] = op.resolvent(lam, lam * Fs[j - 1] + 0.5 * (W[j - 1] + W[j + 1]), tol=1e-11)
     assert max(np.max(np.abs(a - b)) for a, b in zip(V, W)) <= tol * scale
 

@@ -4,14 +4,26 @@ import math
 import numpy as np
 import pytest
 
-from anisosym import (ScalarField, decreasing_rearrangement, make_ball_grid,
-                      make_disk_grid, make_interval_grid, make_p_laplacian,
-                      make_radial_grid, make_square_grid, mass_function,
+from anisosym import (ScalarField, make_ball_grid, make_disk_grid,
+                      make_interval_grid, make_p_laplacian, make_radial_grid,
+                      make_square_grid, mass_functions_from_stack,
                       perimeter_factor, schwarz_rearrangement,
                       steiner_rearrangement)
 from oracles import (StepData, distribution_function, hardy_littlewood_gap,
                      l1_field_distance, l1_profile_distance, polya_szego_gap,
                      zero_stack)
+
+
+def sampled(field, s_grid):
+    """The decreasing rearrangement of a field, sampled at the s-nodes."""
+    return StepData.from_field(field).value_at(s_grid.s_nodes)
+
+
+def mass_row(field, s_grid):
+    """The library's mass function of one field, as a row of node values."""
+    stack = zero_stack(field.grid, 1)
+    stack.values[1] = field.values
+    return mass_functions_from_stack(stack, s_grid)[1]
 
 
 @pytest.fixture
@@ -38,22 +50,21 @@ def test_distribution_function_matches_brute_force():
 
 def test_rearrangement_is_the_sorted_step_function(four_cells):
     s_grid = make_radial_grid(1, 4.0, 8)
-    prof = decreasing_rearrangement(four_cells, s_grid)
+    steps = StepData.from_field(four_cells)
     # steps: 3 on (0,1), 2 on (1,2), 1 on (2,3), 0 on (3,4)
-    assert prof.steps.value_at(0.5) == 3.0
-    assert prof.steps.value_at(1.5) == 2.0
-    assert prof.steps.value_at(2.5) == 1.0
-    assert prof.steps.value_at(3.5) == 0.0
-    assert prof.steps.value_at(1.0) == 2.0     # right continuity at the jump
-    assert np.all(np.diff(prof.values) <= 0)
+    assert steps.value_at(0.5) == 3.0
+    assert steps.value_at(1.5) == 2.0
+    assert steps.value_at(2.5) == 1.0
+    assert steps.value_at(3.5) == 0.0
+    assert steps.value_at(1.0) == 2.0     # right continuity at the jump
+    assert np.all(np.diff(steps.value_at(s_grid.s_nodes)) <= 0)
 
 
 def test_constant_field_rearranges_to_constant():
     grid = make_interval_grid(2.0, 16)
-    prof = decreasing_rearrangement(ScalarField(grid, np.full(16, 2.5)),
-                                    make_radial_grid(1, 2.0, 10))
-    assert np.allclose(prof.values[:-1], 2.5)
-    assert prof.steps.value_at(2.0) == 0.0     # beyond the total measure
+    field = ScalarField(grid, np.full(16, 2.5))
+    assert np.allclose(sampled(field, make_radial_grid(1, 2.0, 10))[:-1], 2.5)
+    assert StepData.from_field(field).value_at(2.0) == 0.0     # beyond the total measure
 
 
 def test_equimeasurability_is_exact_under_step_convention():
@@ -79,29 +90,26 @@ def test_lq_norms_preserved(q):
 
 def test_mass_function_values(four_cells):
     s_grid = make_radial_grid(1, 4.0, 4)      # nodes at 0,1,2,3,4
-    prof = decreasing_rearrangement(four_cells, s_grid)
-    U = mass_function(prof)
-    assert U.values[0] == 0.0
-    assert U.values[2] == pytest.approx(5.0)  # 3 + 2 at s = 2
-    assert U.values[-1] == pytest.approx(6.0)  # full integral of the field
-    d2 = np.diff(U.values, 2)
+    U = mass_row(four_cells, s_grid)
+    assert U[0] == 0.0
+    assert U[2] == pytest.approx(5.0)  # 3 + 2 at s = 2
+    assert U[-1] == pytest.approx(6.0)  # full integral of the field
+    d2 = np.diff(U, 2)
     assert np.all(d2 <= 1e-12)                # concavity
 
 
 def test_mass_function_constant_profile():
     grid = make_interval_grid(3.0, 12)
-    prof = decreasing_rearrangement(ScalarField(grid, np.full(12, 2.0)),
-                                    make_radial_grid(1, 3.0, 6))
-    U = mass_function(prof)
-    assert np.allclose(U.values, 2.0 * U.s_grid.s_nodes)
+    s_grid = make_radial_grid(1, 3.0, 6)
+    U = mass_row(ScalarField(grid, np.full(12, 2.0)), s_grid)
+    assert np.allclose(U, 2.0 * s_grid.s_nodes)
 
 
 def test_mass_function_total_matches_field_integral():
     rng = np.random.default_rng(5)
     grid = make_disk_grid(1.0, 24)
     field = ScalarField(grid, rng.uniform(0, 2, grid.num_cells))
-    prof = decreasing_rearrangement(field, make_radial_grid(2, grid.total_measure, 32))
-    assert mass_function(prof).values[-1] == pytest.approx(
+    assert mass_row(field, make_radial_grid(2, grid.total_measure, 32))[-1] == pytest.approx(
         field.values.sum() * grid.cell_measure, rel=1e-10)
 
 
@@ -128,10 +136,8 @@ def test_translated_and_centered_bumps_share_a_profile():
     a = ScalarField(grid, np.exp(-50 * (x - 0.3) ** 2))
     b = ScalarField(grid, np.exp(-50 * (x - 0.5) ** 2))
     s_grid = make_radial_grid(1, 1.0, 50)
-    pa = decreasing_rearrangement(a, s_grid)
-    pb = decreasing_rearrangement(b, s_grid)
     # same bump shape, so the rearrangements agree up to grid error
-    assert np.max(np.abs(pa.values - pb.values)) < 60.0 * grid.dx
+    assert np.max(np.abs(sampled(a, s_grid) - sampled(b, s_grid))) < 60.0 * grid.dx
 
 
 def test_schwarz_rejects_measure_mismatch():
@@ -166,7 +172,7 @@ def test_rearrangement_rejects_negative_values():
     grid = make_interval_grid(1.0, 8)
     field = ScalarField(grid, np.linspace(-1, 1, 8))
     with pytest.raises(ValueError, match="nonnegative"):
-        decreasing_rearrangement(field, make_radial_grid(1, 1.0, 8))
+        mass_row(field, make_radial_grid(1, 1.0, 8))
 
 
 def test_order_preservation():
@@ -176,20 +182,19 @@ def test_order_preservation():
     for _ in range(20):
         f = rng.uniform(0, 1, 48)
         g = f + rng.uniform(0, 1, 48)
-        pf = decreasing_rearrangement(ScalarField(grid, f), s_grid)
-        pg = decreasing_rearrangement(ScalarField(grid, g), s_grid)
-        assert np.all(pf.values <= pg.values + 1e-15)
+        pf = sampled(ScalarField(grid, f), s_grid)
+        pg = sampled(ScalarField(grid, g), s_grid)
+        assert np.all(pf <= pg + 1e-15)
 
 
 def test_l1_contraction():
     rng = np.random.default_rng(23)
     grid = make_interval_grid(1.0, 40)
-    s_grid = make_radial_grid(1, 1.0, 16)
     for _ in range(200):
         a = ScalarField(grid, rng.uniform(0, 2, 40))
         b = ScalarField(grid, rng.uniform(0, 2, 40))
-        pa = decreasing_rearrangement(a, s_grid)
-        pb = decreasing_rearrangement(b, s_grid)
+        pa = StepData.from_field(a)
+        pb = StepData.from_field(b)
         assert l1_profile_distance(pa, pb) <= l1_field_distance(a, b) + 1e-12
 
 
@@ -266,9 +271,8 @@ def test_gradient_identity_radial():
         r2 = (grid.centers ** 2).sum(axis=1)
         field = ScalarField(grid, np.clip(1 - r2, 0, None))
         s_grid = make_radial_grid(2, grid.total_measure, 16)
-        prof = decreasing_rearrangement(field, s_grid)
         s_mid = 0.5 * (s_grid.s_nodes[1:] + s_grid.s_nodes[:-1])
-        slope = -np.diff(prof.values) / np.diff(s_grid.s_nodes)
+        slope = -np.diff(sampled(field, s_grid)) / np.diff(s_grid.s_nodes)
         lhs = perimeter_factor(2, s_mid) * slope
         rhs = 2.0 * np.sqrt(s_mid / np.pi)
         keep = s_mid < 0.75 * grid.total_measure
