@@ -94,32 +94,76 @@ def shifted_p(p, tau):
     )
 
 
-def _tabulated(ts, bs):
+def _lookup(ts, geometric=False):
+    """The interval index of t >= 0 among the nodes ts, as a function of t.
+
+    It is ``min(searchsorted(ts, t, 'right') - 1, len(ts) - 2)``.  With
+    ``geometric`` the nodes are 0 followed by a geometric sequence, and the
+    index is read off log t, then moved at most one step down or up to
+    absorb rounding; otherwise it is a binary search.
+    """
+    last, inner = len(ts) - 2, ts[1:-1]
+    if not geometric:
+        def index(t):
+            return np.searchsorted(inner, t, side="right")
+        return index
+    t1 = ts[1]
+    per_log = last / np.log(ts[-1] / t1)          # intervals per unit of log t
+    inv_t0 = np.exp(1.0 / per_log) / t1            # 1 / the node one step below t1
+    # Upper end of each interval; NaN past the last, where no t steps up.
+    above = np.append(inner, np.nan)
+
+    def index(t):
+        # One float, one int and one bool array per call, reused in place.
+        x = np.maximum(t, t1, out=np.empty(np.shape(t)))
+        x *= inv_t0
+        np.log(x, out=x)
+        x *= per_log
+        j = np.fmin(x, last, out=x).astype(np.intp)
+        step = np.empty(np.shape(t), dtype=bool)
+        j -= np.greater(np.take(ts, j, out=x), t, out=step)
+        j += np.less_equal(np.take(above, j, out=x), t, out=step)
+        return j
+    return index
+
+
+def _tabulated(ts, bs, geometric=False):
     """Piecewise-linear beta through (ts, bs): (beta, antideriv, dbeta, slopes).
 
     ``antideriv`` is the exact (piecewise quadratic) antiderivative of the
     interpolant and ``dbeta`` its exact derivative, the chord slopes, so
     energy, gradient and Hessian describe one and the same convex function
     to rounding error and Newton line searches do not stall.  Beyond the
-    last node beta continues with the final slope.
+    last node beta continues with the final slope.  All three find the
+    interval of t >= 0 through one ``_lookup`` index, built here, and beta
+    gives bitwise what ``np.interp`` gives.
     """
     slopes = np.diff(bs) / np.diff(ts)
     cumB = np.concatenate([[0.0], np.cumsum(0.5 * (bs[:-1] + bs[1:]) * np.diff(ts))])
     t_end, last = ts[-1], slopes[-1]
+    index = _lookup(ts, geometric)
 
     def beta(t):
         t = _as_array(t)
-        out = np.interp(t, ts, bs)
-        over = t > t_end
+        j = index(t)
+        out = t - ts[j]              # in place from here: few per-point arrays at once
+        out *= slopes[j]
+        out += bs[j]
+        over = t >= t_end
         if np.any(over):
             out = np.where(over, bs[-1] + last * (t - t_end), out)
         return out
 
     def antideriv(t):
         t = _as_array(t)
-        idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
-        d = np.clip(t - ts[idx], 0.0, None)
-        out = cumB[idx] + bs[idx] * d + 0.5 * slopes[idx] * d ** 2
+        j = index(t)
+        d = t - ts[j]                # cumB + bs d + (slopes / 2) d^2, in place
+        out = bs[j]
+        out *= d
+        out += cumB[j]
+        d *= d
+        d *= 0.5 * slopes[j]
+        out += d
         over = t > t_end
         if np.any(over):
             dd = np.where(over, t - t_end, 0.0)
@@ -127,8 +171,7 @@ def _tabulated(ts, bs):
         return out
 
     def dbeta(t):
-        idx = np.searchsorted(ts, _as_array(t), side="right") - 1
-        return slopes[np.clip(idx, 0, len(slopes) - 1)]
+        return slopes[index(_as_array(t))]
 
     return beta, antideriv, dbeta, slopes
 
@@ -369,7 +412,7 @@ def moreau_yosida(nl, eps, tau=0.0):
     eps, tau = float(eps), float(tau)
     bs = _prox(nl, eps, _MY_NODES)[1] / np.maximum(_MY_NODES, TINY_T) + tau * _MY_NODES
     bs[0] = 0.0
-    beta, antideriv, dbeta, _ = _tabulated(_MY_NODES, bs)
+    beta, antideriv, dbeta, _ = _tabulated(_MY_NODES, bs, geometric=True)
     return RegularizedNonlinearity(
         name=f"moreau_yosida({nl.name},eps={eps:g},tau={tau:g})", p=nl.p,
         beta=beta, antideriv=antideriv, C1=nl.C1, C2=nl.C2 + tau, dbeta=dbeta,

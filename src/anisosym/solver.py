@@ -14,10 +14,12 @@ whose Euler-Lagrange equations are the sliced problem
 The x-part uses the orientation-averaged one-sided gradient sampling from
 ``grids.cell_gradients`` (for n = 1 this is exactly P1 finite elements on
 the cell centers plus wall nodes; for n = 2 and p = 2 it reduces to the
-5-point scheme).  All slices are evaluated in one pass, and the sparsity
-pattern of their x-blocks, the same for every slice and Newton step, is
-built once per solve.  Minimization is by damped Newton with Armijo
-backtracking; the Hessian is block tridiagonal in the slice index.  Newton
+5-point scheme).  All slices are evaluated in one pass, and each iterate is
+sampled once: the line search's energy, the gradient and the Hessian share
+the kept sample.  The sparsity pattern of the x-blocks, the same for every
+slice and Newton step, is built once per solve.  Minimization is by damped
+Newton with Armijo backtracking; the Hessian is block tridiagonal in the
+slice index.  Newton
 directions come from one sparse LU of the Hessian, or, on 2-D
 cross-sections, from CG preconditioned in the sine modes of the y-coupling
 (``_newton_direction``).  There the mode LUs are kept across the Newton
@@ -129,9 +131,10 @@ def _y_modes(N, h):
 class _StackFunctional:
     """Energy, gradient and Hessian of J on the stacked interior unknowns.
 
-    ``h`` is the slice spacing, or None for uncoupled x-only slices.  A slice
-    block is held in stencil slots, slot (s, i) coupling cell i with the cell
-    at lattice offset s in {-1, 0, 1}^n; ``_perm`` reads them in CSC order.
+    ``h`` is the slice spacing.  A slice block is held in stencil slots,
+    slot (s, i) coupling cell i with the cell at lattice offset s in
+    {-1, 0, 1}^n; ``_perm`` reads them in CSC order.  The last iterate's
+    sample is kept (``_sample``).
     """
 
     def __init__(self, grid, nl, f_rows, h):
@@ -142,11 +145,12 @@ class _StackFunctional:
         self.m = grid.num_cells
         self.mc = grid.cell_measure
         self.h = h
-        self.Q = None if h is None else _y_coupling(self.k, h)
+        self.Q = _y_coupling(self.k, h)
         # The y-part of every Hessian: constant, so built once.
-        self.YQ = None if h is None else self.mc * sp.kron(self.Q, sp.eye(self.m), format="csc")
+        self.YQ = self.mc * sp.kron(self.Q, sp.eye(self.m), format="csc")
         self.weight = 1.0 / 2 ** grid.n
         self.stencils = grid.orientation_stencils()
+        self._kept = None
         # One slice block's CSC pattern, and _perm from the slots to its entries.
         cols = np.full((3 ** grid.n, self.m), -1)
         for *_, kinds in self._terms():
@@ -179,22 +183,33 @@ class _StackFunctional:
                         (oth1[v1], slot(-step[k1]), v1, -1.0, v1),
                         (oth1[both], slot(step[k2] - step[k1]), both, 1.0, oth2[both])]
 
-    def _sample(self, z):
-        """Sampled gradients d, shape (2^n, k, m, n), of all slices and |d|."""
-        d = cell_gradients(self.grid, z)
-        return d, np.sqrt((d ** 2).sum(axis=-1))
+    def _sample(self, z, with_a=False):
+        """Sampled gradients d, shape (2^n, k, m, n), of all slices, |d|, and a(|d|) if asked.
+
+        The last sample is kept, keyed by the iterate's values and the law,
+        so the line search's ``energy``, then ``gradient`` and ``hessian``
+        sample an accepted iterate once.
+        """
+        kept = self._kept
+        if kept is None or kept[1] is not self.nl or not np.array_equal(kept[0], z):
+            self._kept = None                    # free the old sample first
+            d = cell_gradients(self.grid, z)
+            kept = (np.array(z, dtype=float), self.nl, d, np.sqrt((d ** 2).sum(axis=-1)), None)
+        if with_a and kept[4] is None:
+            kept = kept[:4] + (self.nl.a(kept[3]),)
+        self._kept = kept
+        return kept[2:] if with_a else kept[2:4]
 
     def energy(self, z):
         per_slice = self.mc * self.nl.B(self._sample(z)[1]).mean(axis=0).sum(axis=-1)
         val = float(np.cumsum(per_slice)[-1])          # summed in slice order
-        if self.Q is not None:
-            val += 0.5 * self.mc * float(np.sum(z * (self.Q @ z)))
+        val += 0.5 * self.mc * float(np.sum(z * (self.Q @ z)))
         val -= self.mc * float(np.sum(self.f_rows * z))
         return val
 
     def gradient(self, z):
-        d, mag = self._sample(z)
-        coef = self.weight * self.mc * self.nl.a(mag)
+        d, _, a = self._sample(z, with_a=True)
+        coef = self.weight * self.mc * a
         g = np.zeros_like(z)
         for q, axes in enumerate(self.stencils):
             for kk, (other, scale) in enumerate(axes):
@@ -203,15 +218,14 @@ class _StackFunctional:
                 valid = other >= 0
                 # One-sided neighbors are distinct, so no index repeats.
                 g[:, other[valid]] += t[:, valid]
-        if self.Q is not None:
-            g += self.mc * (self.Q @ z)
+        g += self.mc * (self.Q @ z)
         g -= self.mc * self.f_rows
         return g
 
     def _slots(self, z):
         """Every slice's x-block in stencil slots, shape (k, 3^n, m)."""
-        d, mag = self._sample(z)
-        a = self.nl.a(mag)
+        d, mag, a = self._sample(z, with_a=True)
+        self._kept = None                # d is normalized in place below
         da = self.nl.dbeta(mag) - a
         d /= np.maximum(mag, 1e-300)[..., None]          # unit gradients, in place
         d[mag < 1e-14] = 0.0
@@ -226,16 +240,15 @@ class _StackFunctional:
 
     def hessian(self, z):
         """The assembled CSC Hessian and the mean of the slice x-blocks."""
-        # The kept mode LUs are alive here, so _slots holds few per-cell arrays
-        # at once and frees them before H exists (lower peak RSS).  In C order,
-        # data.sum(axis=0) adds the blocks in slice order.
+        # The kept mode LUs are alive here, so _slots drops the kept sample,
+        # holds few per-cell arrays at once and frees them before H exists
+        # (lower peak RSS).  In C order, data.sum(axis=0) adds the blocks in
+        # slice order.
         data = self._slots(z).reshape(self.k, -1).take(self._perm, axis=1)
         j = np.arange(self.k, dtype=np.int32)[:, None]          # slice of each block
         indices = (self._indices + j * self.m).ravel()
         indptr = np.append((self._indptr[:-1] + j * data.shape[1]).ravel(), np.int32(data.size))
-        H = sp.csc_matrix((data.ravel(), indices, indptr), shape=(self.k * self.m,) * 2)
-        if self.YQ is not None:
-            H = H + self.YQ
+        H = sp.csc_matrix((data.ravel(), indices, indptr), shape=(self.k * self.m,) * 2) + self.YQ
         mean = sp.csc_matrix((data.sum(axis=0) * (1 / self.k), self._indices, self._indptr),
                              shape=(self.m, self.m))
         return H, mean
@@ -264,14 +277,15 @@ class _ModeFactors:
         counters["factorizations"] += len(self.lus)
 
 
-def _mode_pcg(func, H, rhs, modes, rtol, maxiter, counters):
+def _mode_pcg(func, H, rhs, modes, rtol, maxiter, counters, x0=None):
     """Solve H d = rhs by CG preconditioned in the DST-I modes of the y-coupling.
 
     The preconditioner replaces every slice block by a mean A; in the sine
     basis of y it is then block diagonal, one sparse m x m matrix
     ``A + mc*lam_i*I`` per mode (the LUs in ``modes``), and exact when all
-    blocks agree with A (p = 2).  Returns None when CG does not reach
-    ``rtol`` within ``maxiter`` iterations.
+    blocks agree with A (p = 2).  CG starts from ``x0`` (zero if None).
+    Returns the last iterate and whether it reached ``rtol`` within
+    ``maxiter`` iterations.
     """
     k, m = func.k, func.m
     S, lus = modes.S, modes.lus
@@ -286,8 +300,8 @@ def _mode_pcg(func, H, rhs, modes, rtol, maxiter, counters):
         counters["cg_iterations"] += 1
 
     M = spla.LinearOperator(H.shape, matvec=precondition, dtype=float)
-    d, info = spla.cg(H, rhs, rtol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=count)
-    return d if info == 0 else None
+    d, info = spla.cg(H, rhs, x0=x0, rtol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=count)
+    return d, info == 0
 
 
 def _newton_direction(func, z, g, counters, modes=None, rtol=1e-12,
@@ -298,22 +312,24 @@ def _newton_direction(func, z, g, counters, modes=None, rtol=1e-12,
     ``rtol``: one LU of the whole Hessian there has 3-D-like fill.  CG first
     runs on the mode LUs kept in ``modes`` for at most ``kept_maxiter``
     iterations; if there are none or CG stalls, they are rebuilt from this
-    step's mean block and CG reruns.  Without ``modes`` the step uses a fresh
-    store.  1-D stacks, and a CG solve that does not converge, use one sparse
-    LU of the Hessian.  ``counters`` gains the CG iterations, the sparse
-    LUs, and one fallback per CG-to-LU switch and per failed LU.
+    step's mean block and CG reruns from the stalled iterate.  Without
+    ``modes`` the step uses a fresh store.  1-D stacks, and a CG solve that
+    does not converge, use one sparse LU of the Hessian.  ``counters`` gains
+    the CG iterations, the sparse LUs, and one fallback per CG-to-LU switch
+    and per failed LU.
     """
     H, A = func.hessian(z)
     rhs = -g.ravel()
     if func.grid.n == 2:
         if modes is None:
             modes = _ModeFactors()
-        d = None if modes.lus is None else _mode_pcg(func, H, rhs, modes, rtol,
-                                                     kept_maxiter, counters)
-        if d is None:
+        d, ok = None, False
+        if modes.lus is not None:
+            d, ok = _mode_pcg(func, H, rhs, modes, rtol, kept_maxiter, counters)
+        if not ok:
             modes.refactor(func, A, counters)
-            d = _mode_pcg(func, H, rhs, modes, rtol, _CG_MAXITER, counters)
-        if d is not None:
+            d, ok = _mode_pcg(func, H, rhs, modes, rtol, _CG_MAXITER, counters, x0=d)
+        if ok:
             return d
         counters["fallbacks"] += 1
     counters["factorizations"] += 1

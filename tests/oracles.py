@@ -4,8 +4,9 @@ These check the library from outside: the sorted-cell step function that
 is the reference for the library's mass functions, its exact measure
 identities, the Hardy-Littlewood and Polya-Szego inequalities, the L^1
 contraction of rearrangement, the exact C^t C = D2 factorization of the
-second-difference matrix, and the monotonicity of the flux
-beta(|g|) g/|g|.  Nothing in the pipeline calls them.
+second-difference matrix, the monotonicity of the flux beta(|g|) g/|g|,
+the np.interp / searchsorted reading of a beta table, and the slice
+functional without its y-coupling.  Nothing in the pipeline calls them.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+import scipy.sparse as sp
 
 from anisosym import SliceStack, gradient_functional, symmetrized_grid
 from anisosym.nonlinearity import TINY_T
@@ -183,3 +185,47 @@ def flux(nl, g):
     mag = np.sqrt((g ** 2).sum(axis=-1))
     coef = np.where(mag > 0, nl.beta(np.maximum(mag, TINY_T)) / np.maximum(mag, TINY_T), 0.0)
     return coef[..., None] * g
+
+
+def uncoupled(func):
+    """The slice functional ``func`` with its y-coupling zeroed, in place.
+
+    Its k slices are then independent x-only functionals.
+    """
+    func.Q = sp.csr_matrix(func.Q.shape)
+    func.YQ = sp.csc_matrix(func.YQ.shape)
+    return func
+
+
+def interp_table_law(ts, bs):
+    """(beta, a, B, dbeta) of the piecewise-linear beta through (ts, bs) by np.interp and searchsorted.
+
+    Beyond the last node beta continues with the final slope; B is the exact
+    antiderivative of the interpolant and dbeta its chord slopes.
+    """
+    slopes = np.diff(bs) / np.diff(ts)
+    cumB = np.concatenate([[0.0], np.cumsum(0.5 * (bs[:-1] + bs[1:]) * np.diff(ts))])
+    t_end, last = ts[-1], slopes[-1]
+
+    def beta(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > t_end, bs[-1] + last * (t - t_end), np.interp(t, ts, bs))
+
+    def a(t):
+        t = np.maximum(np.asarray(t, dtype=float), TINY_T)
+        return beta(t) / t
+
+    def B(t):
+        t = np.asarray(t, dtype=float)
+        idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+        d = np.clip(t - ts[idx], 0.0, None)
+        dd = np.where(t > t_end, t - t_end, 0.0)
+        return np.where(t > t_end, cumB[-1] + bs[-1] * dd + 0.5 * last * dd ** 2,
+                        cumB[idx] + bs[idx] * d + 0.5 * slopes[idx] * d ** 2)
+
+    def dbeta(t):
+        idx = np.searchsorted(ts, np.asarray(t, dtype=float), side="right") - 1
+        return slopes[np.clip(idx, 0, len(slopes) - 1)]
+
+    return beta, a, B, dbeta
+

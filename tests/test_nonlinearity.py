@@ -4,7 +4,9 @@ import pytest
 from anisosym import (Nonlinearity, RegularizedNonlinearity, from_beta_table,
                       hypothesis_samples, make_p_laplacian, moreau_yosida,
                       shifted_p, validate_hypotheses)
-from oracles import flux
+from anisosym import nonlinearity
+from anisosym.nonlinearity import _MY_NODES, TINY_T
+from oracles import flux, interp_table_law
 
 
 def test_p_laplacian_prototype_values():
@@ -222,3 +224,46 @@ def test_flux_monotone_on_random_pairs(law):
     eta = rng.uniform(-10, 10, size=(10000, 2))
     gap = ((flux(law, xi) - flux(law, eta)) * (xi - eta)).sum(axis=1)
     assert gap.min() >= -1e-12
+
+
+@pytest.mark.parametrize("geometric", [True, False])
+def test_table_lookup_matches_binary_search(geometric):
+    ts, last = _MY_NODES, len(_MY_NODES) - 2
+    ref = lambda t: np.minimum(np.searchsorted(ts, t, side="right") - 1, last)
+    index = nonlinearity._lookup(ts, geometric)
+    t = np.concatenate([ts, np.nextafter(ts, np.inf), np.nextafter(ts[1:], -np.inf),
+                        [0.0, 1e-300, 1e-14], np.geomspace(1e6, 1e9, 1001)])
+    assert np.array_equal(index(t), ref(t))
+    for x in (0.0, 1e-300, 1e-14, 0.37, 1e6, 3e8, 1e9):
+        assert index(x) == ref(x)
+        assert index(np.array(x)) == ref(x)
+
+
+def regularized_table(law):
+    """The (t, beta) nodes ``moreau_yosida`` tabulates for ``law``."""
+    bs = (nonlinearity._prox(law.base, law.eps, _MY_NODES)[1] / np.maximum(_MY_NODES, TINY_T)
+          + law.tau * _MY_NODES)
+    bs[0] = 0.0
+    return _MY_NODES, bs
+
+
+@pytest.mark.parametrize("p", [1.5, 2, 3, 4])
+def test_regularized_law_is_bitwise_the_interp_table(p):
+    law = moreau_yosida(make_p_laplacian(p), 1e-6, 1e-6)
+    ref = dict(zip(("beta", "a", "B", "dbeta"), interp_table_law(*regularized_table(law))))
+    rng = np.random.default_rng(3)
+    t = np.concatenate([np.geomspace(1e-12, 1e9, 40000), rng.uniform(0.0, 5.0, 40000),
+                        _MY_NODES, [0.0]])
+    for name, fn in ref.items():
+        assert np.array_equal(getattr(law, name)(t), fn(t)), name
+        for x in (0.0, 1e-14, 0.37, 2e6):
+            assert getattr(law, name)(x) == fn(x), (name, x)
+
+
+def test_table_law_is_bitwise_the_interp_table():
+    ts = np.linspace(0.0, 10.0, 2001)
+    bs = ts ** 2 + ts
+    law = from_beta_table(np.column_stack([ts, bs]), p=3.0)
+    t = np.concatenate([np.random.default_rng(4).uniform(0.0, 12.0, 20000), ts, [1e9]])
+    for name, fn in zip(("beta", "a", "B", "dbeta"), interp_table_law(ts, bs)):
+        assert np.array_equal(getattr(law, name)(t), fn(t)), name

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,7 @@ from anisosym import (DiscreteProblem, make_ball_grid, make_disk_grid,
                       solve_symmetrized, steiner_rearrangement, y_interpolant)
 from anisosym import solver
 from anisosym.grids import SliceStack
-from oracles import zero_stack
+from oracles import uncoupled, zero_stack
 
 
 def problem_functional(prob):
@@ -405,6 +407,27 @@ def test_stale_mode_lus_are_rebuilt(p):
     assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+def test_rebuilt_mode_lus_continue_from_the_stalled_cg_iterate(monkeypatch):
+    prob = disk_problem(3)
+    func = problem_functional(prob)
+    z = solver._warm_start(func, new_counters())
+    g = func.gradient(z)
+    modes = solver._ModeFactors()
+    modes.refactor(func, sp.identity(func.m, format="csc"), new_counters())   # a wrong block
+    real_cg, runs = spla.cg, []
+
+    def recording_cg(A, b, x0=None, **kwargs):
+        x, info = real_cg(A, b, x0=x0, **kwargs)
+        runs.append((None if x0 is None else x0.copy(), x.copy(), info))
+        return x, info
+
+    monkeypatch.setattr(spla, "cg", recording_cg)
+    solver._newton_direction(func, z, g, new_counters(), modes)
+    (start, stalled, info), (restart, _, info_again) = runs
+    assert start is None and info != 0 and info_again == 0
+    assert np.array_equal(restart, stalled)
+
+
 FUNCTIONAL_GRIDS = {"interval": lambda: make_interval_grid(1.0, 24),
                     "square": lambda: make_square_grid(1.0, 10),
                     "disk": lambda: make_disk_grid(1.0, 12)}
@@ -418,8 +441,8 @@ def test_stack_functional_matches_single_slices(kind, p):
     grid, nl, k = FUNCTIONAL_GRIDS[kind](), moreau_yosida(make_p_laplacian(p), 1e-6, 1e-6), 3
     z = np.random.default_rng(7).uniform(0.0, 0.3, (k, grid.num_cells))
     z[1, :4] = 0.0                       # some zero gradients
-    stack = solver._StackFunctional(grid, nl, np.zeros_like(z), None)
-    singles = [solver._StackFunctional(grid, nl, np.zeros((1, grid.num_cells)), None)
+    stack = uncoupled(solver._StackFunctional(grid, nl, np.zeros_like(z), 1.0))
+    singles = [uncoupled(solver._StackFunctional(grid, nl, np.zeros((1, grid.num_cells)), 1.0))
                for _ in range(k)]
     energy = 0.0
     for j, single in enumerate(singles):
@@ -530,3 +553,59 @@ def test_eps_path_stage_laws_are_built_once():
     assert all(a is b for a, b in zip(first, solver._eps_path(again)))
     other = solver._eps_path(moreau_yosida(law.base, 1e-6, 1e-4))
     assert all(s.tau == 1e-4 and s is not a for s, a in zip(other, first))
+
+
+def counted_samples(monkeypatch):
+    calls, real = [], solver.cell_gradients
+
+    def counted(grid, values):
+        calls.append(None)
+        return real(grid, values)
+
+    monkeypatch.setattr(solver, "cell_gradients", counted)
+    return calls
+
+
+def test_each_iterate_is_sampled_once(monkeypatch):
+    # The line search's energy, then gradient and hessian, at one accepted iterate.
+    grid, k = make_square_grid(1.0, 10), 3
+    rng = np.random.default_rng(17)
+    func = solver._StackFunctional(grid, moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6),
+                                   rng.uniform(0.0, 1.0, (k, grid.num_cells)), 0.25)
+    z = rng.uniform(0.0, 0.3, (k, grid.num_cells))
+    calls = counted_samples(monkeypatch)
+    func.energy(z)
+    assert len(calls) == 1
+    func.gradient(z)
+    func.hessian(z)
+    assert len(calls) == 1
+    func.energy(1.5 * z)
+    func.gradient(1.5 * z)
+    func.hessian(1.5 * z)
+    assert len(calls) == 2
+
+
+def test_kept_sample_is_not_reused_across_laws():
+    # The warm start's p = 2 copy and the eps-path stage copies share the kept
+    # sample while their law is reassigned; each must give a fresh functional's bits.
+    grid, k = make_disk_grid(1.0, 12), 3
+    rng = np.random.default_rng(19)
+    f = rng.uniform(0.0, 1.0, (k, grid.num_cells))
+    z = rng.uniform(0.0, 0.3, (k, grid.num_cells))
+    law = moreau_yosida(make_p_laplacian(1.5), 1e-6, 1e-6)
+    func = solver._StackFunctional(grid, law, f, 0.25)
+    func.energy(z)
+    func.gradient(z)
+    for other in (make_p_laplacian(2), law.with_eps(1e-3), law):
+        stage = copy.copy(func)
+        stage.nl = other
+        fresh = solver._StackFunctional(grid, other, f, 0.25)
+        assert stage.energy(z) == fresh.energy(z)
+        assert np.array_equal(stage.gradient(z), fresh.gradient(z))
+        H, mean = stage.hessian(z)
+        H_ref, mean_ref = fresh.hessian(z)
+        assert np.array_equal(H.toarray(), H_ref.toarray())
+        assert np.array_equal(mean.toarray(), mean_ref.toarray())
+    func.nl = make_p_laplacian(2)
+    assert np.array_equal(func.gradient(z), solver._StackFunctional(
+        grid, make_p_laplacian(2), f, 0.25).gradient(z))
