@@ -24,7 +24,8 @@ directions come from one sparse LU of the Hessian, or, on 2-D
 cross-sections, from CG preconditioned in the sine modes of the y-coupling
 (``_newton_direction``).  There the mode LUs are kept across the Newton
 steps of a stage and rebuilt only when CG stalls on them (a lagged
-preconditioner, Knoll & Keyes, J. Comput. Phys. 193 (2004)), and each
+preconditioner, Knoll & Keyes, J. Comput. Phys. 193 (2004)); a rebuild
+hands the freed set's heap pages back to the system first, and each
 step's CG stops at an Eisenstat-Walker forcing term (SIAM J. Sci. Comput.
 17 (1996)); the warm start and the final polish solve to 1e-12.
 
@@ -37,6 +38,7 @@ down a short path of coarser regularizations first (``_eps_path``).
 from __future__ import annotations
 
 import copy
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,12 +185,19 @@ class _StackFunctional:
                         (oth1[v1], slot(-step[k1]), v1, -1.0, v1),
                         (oth1[both], slot(step[k2] - step[k1]), both, 1.0, oth2[both])]
 
+    def __copy__(self):
+        """A shallow copy without the kept sample, which ``_slots`` changes in place."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, _kept=None)
+        return new
+
     def _sample(self, z, with_a=False):
         """Sampled gradients d, shape (2^n, k, m, n), of all slices, |d|, and a(|d|) if asked.
 
         The last sample is kept, keyed by the iterate's values and the law,
         so the line search's ``energy``, then ``gradient`` and ``hessian``
-        sample an accepted iterate once.
+        sample an accepted iterate once.  ``_slots`` and the end of
+        ``_minimize`` drop it.
         """
         kept = self._kept
         if kept is None or kept[1] is not self.nl or not np.array_equal(kept[0], z):
@@ -258,6 +267,12 @@ class _StackFunctional:
         return float(np.max(np.sqrt(np.sum(g ** 2, axis=1) / self.mc)))
 
 
+try:             # glibc: return freed heap pages to the system
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
 class _ModeFactors:
     """The N mode LUs of ``A + mc*lam_i*I`` for a mean block A, kept across steps.
 
@@ -270,6 +285,11 @@ class _ModeFactors:
         if self.S is None:
             self.S, self.lam = _y_modes(func.k, func.h)
         self.lus = None                # free the old set before building the new one
+        if _malloc_trim is not None:
+            # Each splu reserves about 6 MB of heap and touches a fraction.
+            # Freed below a live allocation, those pages stay resident and
+            # later temporaries touch more of them; hand them back first.
+            _malloc_trim(0)
         eye = sp.eye(func.m, format="csc")
         self.lus = [spla.splu(A + (func.mc * li) * eye, permc_spec="MMD_AT_PLUS_A",
                               diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
@@ -425,6 +445,9 @@ def _minimize(func, z0, tol, max_iter, counters, polish=True):
                 J = func.energy(z)
                 energies.append(J)
                 iterations += 1
+    # Drop the kept sample before the mode LUs go: allocated after them, it
+    # would keep glibc from returning their freed pages (higher peak RSS).
+    func._kept = None
     return z, {"energy": J, "residual": res, "iterations": iterations,
                "energies": tuple(energies), "converged": True}
 

@@ -234,6 +234,11 @@ def test_table_lookup_matches_binary_search(geometric):
     t = np.concatenate([ts, np.nextafter(ts, np.inf), np.nextafter(ts[1:], -np.inf),
                         [0.0, 1e-300, 1e-14], np.geomspace(1e6, 1e9, 1001)])
     assert np.array_equal(index(t), ref(t))
+    # Both sides of the input size at which geometric nodes switch paths.
+    for n in (nonlinearity._SEARCH_MAX, nonlinearity._SEARCH_MAX + 1):
+        for part in np.array_split(np.random.default_rng(5).permutation(t), len(t) // n):
+            part = part[:n]
+            assert np.array_equal(index(part), ref(part))
     for x in (0.0, 1e-300, 1e-14, 0.37, 1e6, 3e8, 1e9):
         assert index(x) == ref(x)
         assert index(np.array(x)) == ref(x)

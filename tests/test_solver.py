@@ -585,9 +585,27 @@ def test_each_iterate_is_sampled_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_refactor_returns_the_old_lus_pages_before_building(monkeypatch):
+    func = problem_functional(disk_problem(3))
+    modes, seen = solver._ModeFactors(), []
+    monkeypatch.setattr(solver, "_malloc_trim", lambda pad: seen.append(modes.lus))
+    modes.refactor(func, sp.identity(func.m, format="csc"), new_counters())
+    modes.refactor(func, sp.identity(func.m, format="csc"), new_counters())
+    assert seen == [None, None] and len(modes.lus) == func.k
+
+
+def test_minimization_ends_without_a_kept_sample():
+    # The last iterate's sample is allocated after the mode LUs; kept past the
+    # minimization, it would pin their freed heap pages.
+    func = problem_functional(disk_problem(3))
+    z, info = solver._minimize(func, solver._warm_start(func, new_counters()), 1e-9, 50,
+                               new_counters())
+    assert info["iterations"] > 0 and func._kept is None
+
+
 def test_kept_sample_is_not_reused_across_laws():
-    # The warm start's p = 2 copy and the eps-path stage copies share the kept
-    # sample while their law is reassigned; each must give a fresh functional's bits.
+    # The warm start's p = 2 copy and the eps-path stage copies reassign their
+    # law; each must give a fresh functional's bits and leave func's sample intact.
     grid, k = make_disk_grid(1.0, 12), 3
     rng = np.random.default_rng(19)
     f = rng.uniform(0.0, 1.0, (k, grid.num_cells))
@@ -606,6 +624,10 @@ def test_kept_sample_is_not_reused_across_laws():
         H_ref, mean_ref = fresh.hessian(z)
         assert np.array_equal(H.toarray(), H_ref.toarray())
         assert np.array_equal(mean.toarray(), mean_ref.toarray())
+    # The copies' Hessians normalized their own samples, not the one func keeps.
+    fresh = solver._StackFunctional(grid, law, f, 0.25)
+    assert func.energy(z) == fresh.energy(z)
+    assert np.array_equal(func.gradient(z), fresh.gradient(z))
     func.nl = make_p_laplacian(2)
     assert np.array_equal(func.gradient(z), solver._StackFunctional(
         grid, make_p_laplacian(2), f, 0.25).gradient(z))
