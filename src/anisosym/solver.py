@@ -17,17 +17,19 @@ the cell centers plus wall nodes; for n = 2 and p = 2 it reduces to the
 5-point scheme).  All slices are evaluated in one pass, and each iterate is
 sampled once: the line search's energy, the gradient and the Hessian share
 the kept sample.  The sparsity pattern of the x-blocks, the same for every
-slice and Newton step, is built once per solve.  Minimization is by damped
-Newton with Armijo backtracking; the Hessian is block tridiagonal in the
-slice index.  Newton
-directions come from one sparse LU of the Hessian, or, on 2-D
-cross-sections, from CG preconditioned in the sine modes of the y-coupling
-(``_newton_direction``).  There the mode LUs are kept across the Newton
-steps of a stage and rebuilt only when CG stalls on them (a lagged
-preconditioner, Knoll & Keyes, J. Comput. Phys. 193 (2004)); a rebuild
-hands the freed set's heap pages back to the system first, and each
-step's CG stops at an Eisenstat-Walker forcing term (SIAM J. Sci. Comput.
-17 (1996)); the warm start and the final polish solve to 1e-12.
+slice and Newton step, is built once per solve, and each Hessian is
+gathered straight into the CSC layout it is used in (``_Layout``).
+Minimization is by damped Newton with Armijo backtracking; the Hessian is
+SPD and block tridiagonal in the slice index.  Newton directions come from
+one sparse LU of the Hessian in a fill-reducing order picked once per solve
+(``_lu_direction``), or, on 2-D cross-sections, from CG preconditioned in
+the sine modes of the y-coupling (``_newton_direction``).  There the mode
+LUs are kept across the Newton steps of a stage and rebuilt only when CG
+stalls on them (a lagged preconditioner, Knoll & Keyes, J. Comput. Phys.
+193 (2004)); a rebuild hands the freed set's heap pages back to the system
+first, and each step's CG stops at an Eisenstat-Walker forcing term (SIAM
+J. Sci. Comput. 17 (1996)); the warm start and the final polish solve to
+1e-12.
 
 Nonlinearities must carry two-sided slope bounds on beta (``smooth_eps``);
 degenerate laws are solved through their Moreau-Yosida regularization.  When
@@ -135,8 +137,8 @@ class _StackFunctional:
 
     ``h`` is the slice spacing.  A slice block is held in stencil slots,
     slot (s, i) coupling cell i with the cell at lattice offset s in
-    {-1, 0, 1}^n; ``_perm`` reads them in CSC order.  The last iterate's
-    sample is kept (``_sample``).
+    {-1, 0, 1}^n; ``_perm`` reads them in the block's CSC order.  The last
+    iterate's sample is kept (``_sample``).
     """
 
     def __init__(self, grid, nl, f_rows, h):
@@ -148,8 +150,7 @@ class _StackFunctional:
         self.mc = grid.cell_measure
         self.h = h
         self.Q = _y_coupling(self.k, h)
-        # The y-part of every Hessian: constant, so built once.
-        self.YQ = self.mc * sp.kron(self.Q, sp.eye(self.m), format="csc")
+        self._layouts = _Layouts()
         self.weight = 1.0 / 2 ** grid.n
         self.stencils = grid.orientation_stencils()
         self._kept = None
@@ -231,40 +232,137 @@ class _StackFunctional:
         g -= self.mc * self.f_rows
         return g
 
-    def _slots(self, z):
-        """Every slice's x-block in stencil slots, shape (k, 3^n, m)."""
+    def hessian(self, z):
+        """The slices' x-blocks at z in stencil slots, (k, 3^n, m) flat, plus one zero.
+
+        ``assemble`` and ``mean_block`` build matrices from them."""
+        # The kept mode LUs are alive here, so the kept sample is dropped and
+        # few per-cell arrays are held at once (lower peak RSS).
         d, mag, a = self._sample(z, with_a=True)
         self._kept = None                # d is normalized in place below
         da = self.nl.dbeta(mag) - a
         d /= np.maximum(mag, 1e-300)[..., None]          # unit gradients, in place
         d[mag < 1e-14] = 0.0
         del mag
-        slots = np.zeros((self.k, 3 ** self.grid.n, self.m))
+        flat = np.zeros(self.k * 3 ** self.grid.n * self.m + 1)
+        slots = flat[:-1].reshape(self.k, 3 ** self.grid.n, self.m)
         for q, k1, k2, sc1, sc2, kinds in self._terms():
             c = self.weight * self.mc * ((a[q] if k1 == k2 else 0.0) + da[q]
                                          * d[q, ..., k1] * d[q, ..., k2]) * sc1 * sc2
             for rows, s, sel, sign, _ in kinds:
                 slots[:, s, rows] += sign * c[:, sel]
-        return slots
+        return flat
 
-    def hessian(self, z):
-        """The assembled CSC Hessian and the mean of the slice x-blocks."""
-        # The kept mode LUs are alive here, so _slots drops the kept sample,
-        # holds few per-cell arrays at once and frees them before H exists
-        # (lower peak RSS).  In C order, data.sum(axis=0) adds the blocks in
-        # slice order.
-        data = self._slots(z).reshape(self.k, -1).take(self._perm, axis=1)
-        j = np.arange(self.k, dtype=np.int32)[:, None]          # slice of each block
-        indices = (self._indices + j * self.m).ravel()
-        indptr = np.append((self._indptr[:-1] + j * data.shape[1]).ravel(), np.int32(data.size))
-        H = sp.csc_matrix((data.ravel(), indices, indptr), shape=(self.k * self.m,) * 2) + self.YQ
-        mean = sp.csc_matrix((data.sum(axis=0) * (1 / self.k), self._indices, self._indptr),
-                             shape=(self.m, self.m))
-        return H, mean
+    def layout(self):
+        """The natural-order Hessian layout, built on first use."""
+        if self._layouts.natural is None:
+            self._layouts.natural = _Layout.natural(self)
+        return self._layouts.natural
+
+    def assemble(self, slots, layout=None):
+        """The CSC Hessian from ``hessian``'s slots, in ``layout`` (natural order if None)."""
+        layout = layout or self.layout()
+        data = slots.take(layout.take)
+        data += layout.y
+        return sp.csc_matrix((data, layout.indices, layout.indptr), shape=(self.k * self.m,) * 2)
+
+    def mean_block(self, slots):
+        """The mean of the slice x-blocks in ``hessian``'s slots, CSC."""
+        # In C order, sum(axis=0) adds the blocks in slice order.
+        data = slots[:-1].reshape(self.k, -1).sum(axis=0).take(self._perm) * (1 / self.k)
+        return sp.csc_matrix((data, self._indices, self._indptr), shape=(self.m, self.m))
 
     def dual_norm(self, g):
         """Max over slices of the mass-preconditioned l2 residual norm."""
         return float(np.max(np.sqrt(np.sum(g ** 2, axis=1) / self.mc)))
+
+
+class _Layout:
+    """The CSC pattern of a functional's Hessian, and where its entries come from.
+
+    Entry e is slot ``take[e]`` of ``hessian``'s slots (the trailing zero
+    where only the y-coupling acts) plus ``y[e]``, the constant part
+    mc*kron(Q, I): one take and one add per Hessian.  Rows and columns are
+    in order ``q``, None for the natural order.
+    """
+
+    def __init__(self, take, y, indices, indptr, q=None):
+        self.take, self.y, self.indices, self.indptr, self.q = take, y, indices, indptr, q
+
+    @classmethod
+    def natural(cls, func):
+        """The natural-order layout of ``func``'s Hessian, built without a sort.
+
+        Column (j, i) holds, by row, the coupling to slice j - 1, slice j's
+        block column i, and the coupling to slice j + 1 (Q is tridiagonal).
+        """
+        k, m, mc = func.k, func.m, func.mc
+        per_slice = 3 ** func.grid.n * m                # slots per slice
+        j = np.arange(k)[:, None]
+        above, below = j > 0, j < k - 1
+        per_col = np.diff(func._indptr)
+        indptr = np.zeros(k * m + 1, dtype=np.int32)
+        np.cumsum((per_col + above + below).ravel(), out=indptr[1:])
+        first, last = indptr[:-1].reshape(k, m), indptr[1:].reshape(k, m) - 1
+        col = np.repeat(np.arange(m), per_col)          # block column of each block entry
+        pos = first[:, col] + above + (np.arange(len(col)) - func._indptr[col])
+        take = np.full(indptr[-1], k * per_slice)
+        take[pos] = func._perm + j * per_slice
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        indices[pos] = func._indices + j * m
+        y = np.zeros(indptr[-1])
+        y[pos[:, func._indices == col]] = mc * func.Q.diagonal()[:, None]
+        indices[first[1:]] = j[:-1] * m + np.arange(m)
+        y[first[1:]] = mc * func.Q.diagonal(1)[:, None]
+        indices[last[:-1]] = j[1:] * m + np.arange(m)
+        y[last[:-1]] = mc * func.Q.diagonal(-1)[:, None]
+        return cls(take, y, indices, indptr)
+
+    def permuted(self, q):
+        """This natural-order layout with rows and columns in order ``q``."""
+        n = len(self.indptr) - 1
+        rank = np.empty_like(q)
+        rank[q] = np.arange(n)
+        rows = rank[self.indices]
+        cols = rank[np.repeat(np.arange(n), np.diff(self.indptr))]
+        order = np.lexsort((rows, cols))                # CSC: by column, then by row
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+        return _Layout(self.take[order], self.y[order], rows[order].astype(np.int32), indptr, q)
+
+
+class _Layouts:
+    """A solve's Hessian layouts: natural order, and the order its first LU picks.
+
+    The warm start's and the eps stages' copies of a functional share them.
+    """
+
+    natural = lu = None
+
+
+#: SuperLU options for SPD matrices: symmetric mode, diagonal pivots.
+_SPD = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+
+
+def _lu_direction(func, slots, rhs):
+    """Solve H d = rhs, H from ``hessian``'s slots, by one SPD-mode sparse LU.
+
+    The first successful LU of a solve orders H by minimum degree on H + H^T
+    and keeps q = argsort(perm_c); later LUs factor H assembled in order q,
+    unreordered (order once, factor numerically after: George & Liu,
+    *Computer Solution of Large Sparse Positive Definite Systems*, 1981).
+    Raises RuntimeError when SuperLU does.
+    """
+    layouts = func._layouts
+    if layouts.lu is None:
+        lu = spla.splu(func.assemble(slots), permc_spec="MMD_AT_PLUS_A", **_SPD)
+        layouts.lu = func.layout().permuted(np.argsort(lu.perm_c))
+        return lu.solve(rhs)
+    q = layouts.lu.q
+    lu = spla.splu(func.assemble(slots, layouts.lu), permc_spec="NATURAL", **_SPD)
+    d = np.empty_like(rhs)
+    d[q] = lu.solve(rhs[q])
+    return d
 
 
 try:             # glibc: return freed heap pages to the system
@@ -291,8 +389,7 @@ class _ModeFactors:
             # later temporaries touch more of them; hand them back first.
             _malloc_trim(0)
         eye = sp.eye(func.m, format="csc")
-        self.lus = [spla.splu(A + (func.mc * li) * eye, permc_spec="MMD_AT_PLUS_A",
-                              diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        self.lus = [spla.splu(A + (func.mc * li) * eye, permc_spec="MMD_AT_PLUS_A", **_SPD)
                     for li in self.lam]
         counters["factorizations"] += len(self.lus)
 
@@ -334,27 +431,28 @@ def _newton_direction(func, z, g, counters, modes=None, rtol=1e-12,
     iterations; if there are none or CG stalls, they are rebuilt from this
     step's mean block and CG reruns from the stalled iterate.  Without
     ``modes`` the step uses a fresh store.  1-D stacks, and a CG solve that
-    does not converge, use one sparse LU of the Hessian.  ``counters`` gains
-    the CG iterations, the sparse LUs, and one fallback per CG-to-LU switch
-    and per failed LU.
+    does not converge, use one sparse LU of the Hessian (``_lu_direction``).
+    ``counters`` gains the CG iterations, the sparse LUs, and one fallback
+    per CG-to-LU switch and per failed LU.
     """
-    H, A = func.hessian(z)
+    slots = func.hessian(z)
     rhs = -g.ravel()
     if func.grid.n == 2:
+        H = func.assemble(slots)
         if modes is None:
             modes = _ModeFactors()
         d, ok = None, False
         if modes.lus is not None:
             d, ok = _mode_pcg(func, H, rhs, modes, rtol, kept_maxiter, counters)
         if not ok:
-            modes.refactor(func, A, counters)
+            modes.refactor(func, func.mean_block(slots), counters)
             d, ok = _mode_pcg(func, H, rhs, modes, rtol, _CG_MAXITER, counters, x0=d)
         if ok:
             return d
         counters["fallbacks"] += 1
     counters["factorizations"] += 1
     try:
-        return spla.splu(H).solve(rhs)
+        return _lu_direction(func, slots, rhs)
     except RuntimeError:
         counters["fallbacks"] += 1
         return None

@@ -5,8 +5,9 @@ is the reference for the library's mass functions, its exact measure
 identities, the Hardy-Littlewood and Polya-Szego inequalities, the L^1
 contraction of rearrangement, the exact C^t C = D2 factorization of the
 second-difference matrix, the monotonicity of the flux beta(|g|) g/|g|,
-the np.interp / searchsorted reading of a beta table, and the slice
-functional without its y-coupling.  Nothing in the pipeline calls them.
+the np.interp / searchsorted reading of a beta table, the slice
+functional without its y-coupling, and dense Gaussian mollification.
+Nothing in the pipeline calls them.
 """
 
 from dataclasses import dataclass
@@ -190,11 +191,29 @@ def flux(nl, g):
 def uncoupled(func):
     """The slice functional ``func`` with its y-coupling zeroed, in place.
 
-    Its k slices are then independent x-only functionals.
+    Its k slices are then independent x-only functionals.  Call it before
+    ``func`` assembles a Hessian: the assembly layout is built from Q once.
     """
     func.Q = sp.csr_matrix(func.Q.shape)
-    func.YQ = sp.csc_matrix(func.YQ.shape)
     return func
+
+
+def dense_mollify(stack, delta):
+    """Gaussian mollification of a data stack by dense m x m and N x N kernels.
+
+    Every pair of cells is weighted by the Gaussian of their distance; data
+    is zero outside the domain and outside the slice range.
+    """
+    grid = stack.grid
+    d2 = ((grid.centers[:, None, :] - grid.centers[None, :, :]) ** 2).sum(axis=2)
+    Kx = np.exp(-0.5 * d2 / delta ** 2) * grid.cell_measure \
+        / (2.0 * np.pi * delta ** 2) ** (grid.n / 2.0)
+    yj = np.arange(1, stack.num_interior + 1) * stack.h
+    Ky = np.exp(-0.5 * (yj[:, None] - yj[None, :]) ** 2 / delta ** 2) * stack.h \
+        / np.sqrt(2.0 * np.pi * delta ** 2)
+    vals = np.zeros_like(stack.values)
+    vals[1:-1] = Ky @ (stack.interior @ Kx.T)
+    return SliceStack(grid, vals)
 
 
 def interp_table_law(ts, bs):

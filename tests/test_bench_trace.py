@@ -4,7 +4,8 @@
 drops is skipped silently, and the metrics built from it go absent.  This
 runs one traced ``verify_mass_comparison`` per grid kind and checks that
 every per-layer metric of ``BENCHMARK.json`` comes out, apart from the two
-that ``bench/run.py`` computes from whole calls.
+that ``bench/run.py`` computes from whole calls, and that the traced LUs are
+the factorizations the report counts.
 """
 
 import importlib.util
@@ -44,6 +45,9 @@ def test_traced_call_yields_every_per_layer_metric(grid):
             grid, make_p_laplacian(3), f_fn=bump, N=3, M=8)
     metrics = tracing.layer_metrics(tracer.spans, rep)
     assert sorted(expected - set(metrics)) == []
+    # every traced LU is one the report counts: none is hidden from it
+    assert metrics["solver.lu_count"] == (rep.meta["u_factorizations"]
+                                          + rep.meta["v_factorizations"])
     # every pipeline stage is made of traced calls
     stages = tracing.stage_agreement(tracer.spans, rep.timings)
     assert set(stages) == set(rep.timings)

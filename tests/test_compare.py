@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from anisosym import (MassOperator, epsilon_tau_sweep,
+from anisosym import (MassOperator, epsilon_tau_sweep, make_disk_grid,
                       h_refinement_study, make_ball_grid, make_interval_grid,
                       make_p_laplacian, make_radial_grid, make_square_grid,
                       mass_functions_from_stack, moreau_yosida, mollify_stack,
                       sample_slices, steiner_rearrangement, subsolution_slack,
                       verify_lq_consequence, verify_mass_comparison)
-from oracles import zero_stack
+from oracles import dense_mollify, zero_stack
 
 
 def bump(c, y):
@@ -265,6 +265,18 @@ def test_mollify_preserves_sign_and_smooths():
     assert sm.values[2].max() > 0.0            # reaches neighbor slices
     back = mollify_stack(st, 0.0)
     assert back is st
+
+
+@pytest.mark.parametrize("grid", [make_interval_grid(1.0, 40, centered=True),
+                                  make_square_grid(1.0, 12), make_disk_grid(1.0, 16)],
+                         ids=["interval", "square", "disk"])
+def test_separable_mollify_matches_the_dense_kernel(grid):
+    rng = np.random.default_rng(31)
+    st = zero_stack(grid, 5)
+    st.values[1:-1] = rng.uniform(0.0, 1.0, (5, grid.num_cells))
+    for delta in (0.04, 0.15):
+        sm, ref = mollify_stack(st, delta), dense_mollify(st, delta)
+        assert np.abs(sm.values - ref.values).max() <= 1e-13 * np.abs(ref.values).max()
 
 
 def test_requires_exactly_one_data_source():

@@ -1,4 +1,6 @@
 import copy
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ import scipy.sparse.linalg as spla
 from anisosym import (DiscreteProblem, make_ball_grid, make_disk_grid,
                       make_interval_grid, make_p_laplacian, make_square_grid,
                       moreau_yosida, sample_slices, shifted_p, solve_stack,
-                      solve_symmetrized, steiner_rearrangement, y_interpolant)
+                      solve_symmetrized, steiner_rearrangement, verify_mass_comparison,
+                      y_interpolant)
 from anisosym import solver
 from anisosym.grids import SliceStack
 from oracles import uncoupled, zero_stack
@@ -16,6 +19,12 @@ from oracles import uncoupled, zero_stack
 
 def problem_functional(prob):
     return solver._StackFunctional(prob.grid, prob.nl, prob.f.interior, prob.h)
+
+
+def hessian(func, z):
+    """The assembled Hessian of ``func`` at z and the mean of its slice x-blocks."""
+    slots = func.hessian(z)
+    return func.assemble(slots), func.mean_block(slots)
 
 
 def stack_energy(prob, stack):
@@ -291,7 +300,7 @@ def test_mode_pcg_direction_matches_lu(p):
     g = func.gradient(z)
     counters = new_counters()
     d = solver._newton_direction(func, z, g, counters)
-    H, _ = func.hessian(z)
+    H, _ = hessian(func, z)
     ref = spla.splu(H).solve(-g.ravel())
     assert counters["cg_iterations"] > 0 and counters["fallbacks"] == 0
     assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -401,7 +410,7 @@ def test_stale_mode_lus_are_rebuilt(p):
     modes.refactor(func, sp.identity(func.m, format="csc"), new_counters())   # a wrong block
     counters = new_counters()
     d = solver._newton_direction(func, z, g, counters, modes)
-    H, _ = func.hessian(z)
+    H, _ = hessian(func, z)
     ref = spla.splu(H).solve(-g.ravel())
     assert counters["factorizations"] == func.k and counters["fallbacks"] == 0
     assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -451,8 +460,8 @@ def test_stack_functional_matches_single_slices(kind, p):
     g = stack.gradient(z)
     for j, single in enumerate(singles):
         assert np.array_equal(g[j], single.gradient(z[j:j + 1])[0])
-    H, mean = stack.hessian(z)
-    blocks = [single.hessian(z[j:j + 1])[0].toarray() for j, single in enumerate(singles)]
+    H, mean = hessian(stack, z)
+    blocks = [hessian(single, z[j:j + 1])[0].toarray() for j, single in enumerate(singles)]
     scale = max(np.abs(b).max() for b in blocks)
     assert np.abs(H.toarray() - sp.block_diag(blocks).toarray()).max() <= 1e-15 * scale
     assert np.abs(mean.toarray() - sum(blocks) / k).max() <= 1e-15 * scale
@@ -473,7 +482,7 @@ def test_stack_derivatives_match_central_differences(kind, p):
     g = func.gradient(z)
     slope = (func.energy(z + eps * v) - func.energy(z - eps * v)) / (2 * eps)
     assert slope == pytest.approx(float(np.sum(g * v)), rel=1e-7)
-    H, _ = func.hessian(z)
+    H, _ = hessian(func, z)
     Hv = H @ v.ravel()
     fd = (func.gradient(z + eps * v) - func.gradient(z - eps * v)).ravel() / (2 * eps)
     assert np.linalg.norm(fd - Hv) <= 1e-6 * np.linalg.norm(Hv)
@@ -620,8 +629,8 @@ def test_kept_sample_is_not_reused_across_laws():
         fresh = solver._StackFunctional(grid, other, f, 0.25)
         assert stage.energy(z) == fresh.energy(z)
         assert np.array_equal(stage.gradient(z), fresh.gradient(z))
-        H, mean = stage.hessian(z)
-        H_ref, mean_ref = fresh.hessian(z)
+        H, mean = hessian(stage, z)
+        H_ref, mean_ref = hessian(fresh, z)
         assert np.array_equal(H.toarray(), H_ref.toarray())
         assert np.array_equal(mean.toarray(), mean_ref.toarray())
     # The copies' Hessians normalized their own samples, not the one func keeps.
@@ -631,3 +640,107 @@ def test_kept_sample_is_not_reused_across_laws():
     func.nl = make_p_laplacian(2)
     assert np.array_equal(func.gradient(z), solver._StackFunctional(
         grid, make_p_laplacian(2), f, 0.25).gradient(z))
+
+
+def interval_functional(law=None, k=5):
+    g = make_interval_grid(1.0, 40)
+    f = sample_slices(g, k, lambda c, y: np.exp(-30 * (c[:, 0] - 0.35) ** 2) * (1 + y))
+    law = law or moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6)
+    return problem_functional(DiscreteProblem(g, law, f))
+
+
+def recorded_orderings(monkeypatch, fail_first=False):
+    """Spy on spla.splu: the permc_spec of every call, in call order."""
+    real, specs = spla.splu, []
+
+    def spy(A, *args, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        if fail_first and len(specs) == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return real(A, *args, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return specs
+
+
+def test_ordered_lu_direction_matches_the_default_lu():
+    # The warm start (p = 2 at zero) picks the order; Newton steps factor in it.
+    func = interval_functional()
+    quad = copy.copy(func)
+    quad.nl = make_p_laplacian(2)
+    counters = new_counters()
+    x = np.zeros((func.k, func.m))
+    for f in (quad, func, func):
+        g = f.gradient(x)
+        d = solver._newton_direction(f, x, g, counters)
+        assert func._layouts.lu is not None
+        H, _ = hessian(f, x)
+        ref = spla.splu(H).solve(-g.ravel())
+        assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+        x = x + d.reshape(x.shape)
+    assert counters == {"cg_iterations": 0, "fallbacks": 0, "factorizations": 3}
+
+
+def test_one_fill_reducing_order_per_one_dimensional_solve(monkeypatch):
+    specs = recorded_orderings(monkeypatch)
+    g = make_interval_grid(1.0, 48)
+    f = sample_slices(g, 5, lambda c, y: np.exp(-20 * (c[:, 0] - 0.4) ** 2) * (1 + y))
+    for law in (moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6),
+                moreau_yosida(make_p_laplacian(1.5), 1e-6, 1e-6)):   # with eps stages
+        del specs[:]
+        sol = solve_stack(DiscreteProblem(g, law, f))
+        assert specs[0] == "MMD_AT_PLUS_A" and set(specs[1:]) == {"NATURAL"}
+        assert len(specs) == sol.factorizations and sol.fallbacks == 0
+
+
+def test_failed_first_lu_keeps_no_order(monkeypatch):
+    specs = recorded_orderings(monkeypatch, fail_first=True)
+    func = interval_functional()
+    z = np.random.default_rng(23).uniform(0.0, 0.2, (func.k, func.m))
+    g = func.gradient(z)
+    counters = new_counters()
+    assert solver._newton_direction(func, z, g, counters) is None
+    assert func._layouts.lu is None and counters["fallbacks"] == 1
+    first = solver._newton_direction(func, z, g, counters)
+    assert func._layouts.lu is not None
+    again = solver._newton_direction(func, z, g, counters)
+    assert specs == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A", "NATURAL"]
+    assert np.linalg.norm(again - first) <= 1e-12 * np.linalg.norm(first)
+
+
+@pytest.mark.parametrize("kind", sorted(FUNCTIONAL_GRIDS))
+def test_hessian_gather_is_bitwise_the_permuted_sum(kind):
+    # Reference: the slice blocks as one block-diagonal CSC matrix, plus
+    # mc*kron(Q, I), then permuted -- the assembly the gather replaces.
+    grid, k = FUNCTIONAL_GRIDS[kind](), 4
+    rng = np.random.default_rng(29)
+    func = solver._StackFunctional(grid, moreau_yosida(make_p_laplacian(1.5), 1e-6, 1e-6),
+                                   rng.uniform(0.0, 1.0, (k, grid.num_cells)), 0.2)
+    z = rng.uniform(0.0, 0.3, (k, grid.num_cells))
+    z[1, :5] = 0.0                       # some zero gradients
+    slots = func.hessian(z)
+    per_slice = slots[:-1].reshape(k, -1)
+    blocks = sp.block_diag([sp.csc_matrix((s.take(func._perm), func._indices, func._indptr),
+                                          shape=(func.m, func.m)) for s in per_slice], "csc")
+    ref = blocks + func.mc * sp.kron(func.Q, sp.eye(func.m), format="csc")
+    H = func.assemble(slots)
+    assert H.has_sorted_indices and np.array_equal(H.toarray(), ref.toarray())
+    lu = spla.splu(H, permc_spec="MMD_AT_PLUS_A", **solver._SPD)
+    for q in (np.argsort(lu.perm_c), rng.permutation(k * func.m)):
+        P = func.assemble(slots, func.layout().permuted(q))
+        assert P.has_sorted_indices and np.array_equal(P.toarray(), ref[q][:, q].toarray())
+
+
+def bench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name, factorizations", [("ode31", (9, 7)), ("stiff15", (23, 17))])
+def test_ordered_lus_keep_the_factorization_counts(name, factorizations):
+    grid, law, f_fn, kwargs = bench_workloads()[name].build(0)
+    rep = verify_mass_comparison(grid, law, f_fn=f_fn, tol=1e-9, **kwargs)
+    assert (rep.meta["u_factorizations"], rep.meta["v_factorizations"]) == factorizations
