@@ -220,10 +220,9 @@ def mollify_stack(stack, delta):
     extended by zero outside the domain and outside the slice range -- so
     the smoothed stack decays toward the boundary like a compactly
     supported mollification.  The kernel is positive, so nonnegativity is
-    preserved.  Cells sit on a lattice of spacing dx, and the Gaussian is a
-    product of one 1-D kernel per axis, so the x-convolution runs axis by
-    axis on the zero-extended bounding box of the cells: memory grows with
-    the box, not with the square of the cell count.
+    preserved.  The x-kernel is a product of 1-D Gaussians on the cells'
+    lattice, applied axis by axis to their zero-extended bounding box, so
+    memory grows with the box, not with the square of the cell count.
     """
     if delta <= 0:
         return stack

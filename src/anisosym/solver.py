@@ -332,10 +332,7 @@ class _Layout:
 
 
 class _Layouts:
-    """A solve's Hessian layouts: natural order, and the order its first LU picks.
-
-    The warm start's and the eps stages' copies of a functional share them.
-    """
+    """A solve's Hessian layouts, natural and its LUs', shared by its functional's copies."""
 
     natural = lu = None
 

@@ -642,10 +642,10 @@ def test_kept_sample_is_not_reused_across_laws():
         grid, make_p_laplacian(2), f, 0.25).gradient(z))
 
 
-def interval_functional(law=None, k=5):
+def interval_functional():
     g = make_interval_grid(1.0, 40)
-    f = sample_slices(g, k, lambda c, y: np.exp(-30 * (c[:, 0] - 0.35) ** 2) * (1 + y))
-    law = law or moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6)
+    f = sample_slices(g, 5, lambda c, y: np.exp(-30 * (c[:, 0] - 0.35) ** 2) * (1 + y))
+    law = moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6)
     return problem_functional(DiscreteProblem(g, law, f))
 
 
