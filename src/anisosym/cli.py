@@ -40,16 +40,14 @@ class RunManifest:
 
     def write(self, out_dir):
         path = os.path.join(out_dir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump({
-                "subcommand": self.subcommand,
-                "config_hash": self.config_hash,
-                "seed": self.seed,
-                "versions": self.versions,
-                "wall_clock": {k: round(v, 6) for k, v in self.wall_clock.items()},
-                "artifacts": sorted(self.artifacts),
-            }, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, {
+            "subcommand": self.subcommand,
+            "config_hash": self.config_hash,
+            "seed": self.seed,
+            "versions": self.versions,
+            "wall_clock": {k: round(v, 6) for k, v in self.wall_clock.items()},
+            "artifacts": sorted(self.artifacts),
+        })
         return path
 
 

@@ -16,9 +16,10 @@ The x-part uses the orientation-averaged one-sided gradient sampling from
 the cell centers plus wall nodes; for n = 2 and p = 2 it reduces to the
 5-point scheme).  All slices are evaluated in one pass, and each iterate is
 sampled once: the line search's energy, the gradient and the Hessian share
-the kept sample.  The sparsity pattern of the x-blocks, the same for every
-slice and Newton step, is built once per solve, and each Hessian is
-gathered straight into the CSC layout it is used in (``_Layout``).
+the kept sample.  One functional serves a solve; its warm start and eps
+stages only change the law.  So the CSC layout of each matrix it assembles
+(``_Layout``), the same for every Newton step, is built once per solve,
+and each Hessian is gathered straight into it.
 Minimization is by damped Newton with Armijo backtracking; the Hessian is
 SPD and block tridiagonal in the slice index.  Newton directions come from
 one sparse LU of the Hessian in a fill-reducing order picked once per solve
@@ -39,7 +40,6 @@ down a short path of coarser regularizations first (``_eps_path``).
 
 from __future__ import annotations
 
-import copy
 import ctypes
 from dataclasses import dataclass
 
@@ -136,9 +136,13 @@ class _StackFunctional:
     """Energy, gradient and Hessian of J on the stacked interior unknowns.
 
     ``h`` is the slice spacing.  A slice block is held in stencil slots,
-    slot (s, i) coupling cell i with the cell at lattice offset s in
-    {-1, 0, 1}^n; ``_perm`` reads them in the block's CSC order.  The last
-    iterate's sample is kept (``_sample``).
+    slot (s, i) coupling cell i with cell ``_col[s, i]``, the cell at lattice
+    offset s in {-1, 0, 1}^n (-1 where there is none).  One functional
+    serves a whole solve: the warm start and the eps stages reassign ``nl``.
+    It keeps the last iterate's sample (``_sample``) and the ``_Layout`` of
+    each matrix it assembles: H in natural order (``natural``), H in the
+    order of its LUs (``lu_order``, set by ``_lu_direction``) and the mean
+    x-block.
     """
 
     def __init__(self, grid, nl, f_rows, h):
@@ -150,21 +154,13 @@ class _StackFunctional:
         self.mc = grid.cell_measure
         self.h = h
         self.Q = _y_coupling(self.k, h)
-        self._layouts = _Layouts()
         self.weight = 1.0 / 2 ** grid.n
         self.stencils = grid.orientation_stencils()
-        self._kept = None
-        # One slice block's CSC pattern, and _perm from the slots to its entries.
-        cols = np.full((3 ** grid.n, self.m), -1)
+        self._kept = self.natural = self.lu_order = self._mean = None
+        self._col = np.full((3 ** grid.n, self.m), -1, dtype=np.int32)
         for *_, kinds in self._terms():
             for rows, s, _, _, col in kinds:
-                cols[s, rows] = col
-        s_idx, rows = np.nonzero(cols >= 0)
-        col = cols[s_idx, rows]
-        order = np.lexsort((rows, col))          # CSC: by column, then by row
-        self._perm = (s_idx * self.m + rows)[order]
-        self._indices = rows[order].astype(np.int32)
-        self._indptr = np.searchsorted(col[order], np.arange(self.m + 1)).astype(np.int32)
+                self._col[s, rows] = col
 
     def _terms(self):
         """Per (orientation, k1, k2): q, k1, k2, the two scales and the term kinds.
@@ -185,12 +181,6 @@ class _StackFunctional:
                         (v2, slot(step[k2]), v2, -1.0, oth2[v2]),
                         (oth1[v1], slot(-step[k1]), v1, -1.0, v1),
                         (oth1[both], slot(step[k2] - step[k1]), both, 1.0, oth2[both])]
-
-    def __copy__(self):
-        """A shallow copy without the kept sample, which ``_slots`` changes in place."""
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__, _kept=None)
-        return new
 
     def _sample(self, z, with_a=False):
         """Sampled gradients d, shape (2^n, k, m, n), of all slices, |d|, and a(|d|) if asked.
@@ -235,7 +225,7 @@ class _StackFunctional:
     def hessian(self, z):
         """The slices' x-blocks at z in stencil slots, (k, 3^n, m) flat, plus one zero.
 
-        ``assemble`` and ``mean_block`` build matrices from them."""
+        ``assemble``, ``mean_block`` and ``lu_order.gather`` build matrices from them."""
         # The kept mode LUs are alive here, so the kept sample is dropped and
         # few per-cell arrays are held at once (lower peak RSS).
         d, mag, a = self._sample(z, with_a=True)
@@ -253,24 +243,18 @@ class _StackFunctional:
                 slots[:, s, rows] += sign * c[:, sel]
         return flat
 
-    def layout(self):
-        """The natural-order Hessian layout, built on first use."""
-        if self._layouts.natural is None:
-            self._layouts.natural = _Layout.natural(self)
-        return self._layouts.natural
-
-    def assemble(self, slots, layout=None):
-        """The CSC Hessian from ``hessian``'s slots, in ``layout`` (natural order if None)."""
-        layout = layout or self.layout()
-        data = slots.take(layout.take)
-        data += layout.y
-        return sp.csc_matrix((data, layout.indices, layout.indptr), shape=(self.k * self.m,) * 2)
+    def assemble(self, slots):
+        """The CSC Hessian from ``hessian``'s slots, in natural order."""
+        if self.natural is None:              # built on first use, from Q as it is then
+            self.natural = _Layout(self, self.k, True)
+        return self.natural.gather(slots)
 
     def mean_block(self, slots):
         """The mean of the slice x-blocks in ``hessian``'s slots, CSC."""
+        if self._mean is None:
+            self._mean = _Layout(self, 1, False)
         # In C order, sum(axis=0) adds the blocks in slice order.
-        data = slots[:-1].reshape(self.k, -1).sum(axis=0).take(self._perm) * (1 / self.k)
-        return sp.csc_matrix((data, self._indices, self._indptr), shape=(self.m, self.m))
+        return self._mean.gather(slots[:-1].reshape(self.k, -1).sum(axis=0) * (1 / self.k))
 
     def dual_norm(self, g):
         """Max over slices of the mass-preconditioned l2 residual norm."""
@@ -278,63 +262,48 @@ class _StackFunctional:
 
 
 class _Layout:
-    """The CSC pattern of a functional's Hessian, and where its entries come from.
+    """The CSC pattern of k slice x-blocks, plus the y-coupling when ``coupled``,
+    with rows and columns in order ``q`` (None for the natural order).
 
-    Entry e is slot ``take[e]`` of ``hessian``'s slots (the trailing zero
-    where only the y-coupling acts) plus ``y[e]``, the constant part
-    mc*kron(Q, I): one take and one add per Hessian.  Rows and columns are
-    in order ``q``, None for the natural order.
+    Entry e is slot ``take[e]`` of k slices' slots (the trailing zero where
+    only the y-coupling acts) plus ``y[e]``, the constant part mc*kron(Q, I)
+    (0.0 without the coupling): one take and one add per matrix (``gather``).
     """
 
-    def __init__(self, take, y, indices, indptr, q=None):
-        self.take, self.y, self.indices, self.indptr, self.q = take, y, indices, indptr, q
+    def __init__(self, func, k, coupled, q=None):
+        m, per_slice, size = func.m, func._col.size, k * func.m
+        s, i = np.nonzero(func._col >= 0)           # block entry (i, _col[s, i]) is slot (s, i)
+        col = func._col[s, i]
+        first = np.arange(k, dtype=np.int32)[:, None] * m       # slice j's first row
+        up = np.arange((k - 1) * m if coupled else 0, dtype=np.int32)  # cell (j, i) to (j + 1, i)
+        rows = np.concatenate([(i.astype(np.int32) + first).ravel(), up, up + m])
+        cols = np.concatenate([(col + first).ravel(), up + m, up])
+        if q is not None:
+            rank = np.empty(size, dtype=np.int32)
+            rank[q] = np.arange(size)
+            rows, cols = rank[rows], rank[cols]
+        # CSC: by column, then by row.  The keys are unique, and the stable
+        # sort (timsort) runs faster on the ascending runs each slot gives.
+        order = np.argsort(cols.astype(np.int64) * size + rows, kind="stable")
+        self.indices = rows[order]
+        self.indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=size), out=self.indptr[1:])
+        del rows, cols                  # before take and y are built (lower peak memory)
+        self.take = np.concatenate([(s * m + i + np.arange(k)[:, None] * per_slice).ravel(),
+                                    np.full(2 * len(up), k * per_slice)])[order]
+        self.y = 0.0
+        if coupled:
+            Y = func.mc * func.Q
+            self.y = np.concatenate([np.where(col == i, Y.diagonal()[:, None], 0.0).ravel(),
+                                     np.repeat(Y.diagonal(1), m),
+                                     np.repeat(Y.diagonal(-1), m)])[order]
+        self.q, self.shape = q, (size, size)
 
-    @classmethod
-    def natural(cls, func):
-        """The natural-order layout of ``func``'s Hessian, built without a sort.
-
-        Column (j, i) holds, by row, the coupling to slice j - 1, slice j's
-        block column i, and the coupling to slice j + 1 (Q is tridiagonal).
-        """
-        k, m, mc = func.k, func.m, func.mc
-        per_slice = 3 ** func.grid.n * m                # slots per slice
-        j = np.arange(k)[:, None]
-        above, below = j > 0, j < k - 1
-        per_col = np.diff(func._indptr)
-        indptr = np.zeros(k * m + 1, dtype=np.int32)
-        np.cumsum((per_col + above + below).ravel(), out=indptr[1:])
-        first, last = indptr[:-1].reshape(k, m), indptr[1:].reshape(k, m) - 1
-        col = np.repeat(np.arange(m), per_col)          # block column of each block entry
-        pos = first[:, col] + above + (np.arange(len(col)) - func._indptr[col])
-        take = np.full(indptr[-1], k * per_slice)
-        take[pos] = func._perm + j * per_slice
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        indices[pos] = func._indices + j * m
-        y = np.zeros(indptr[-1])
-        y[pos[:, func._indices == col]] = mc * func.Q.diagonal()[:, None]
-        indices[first[1:]] = j[:-1] * m + np.arange(m)
-        y[first[1:]] = mc * func.Q.diagonal(1)[:, None]
-        indices[last[:-1]] = j[1:] * m + np.arange(m)
-        y[last[:-1]] = mc * func.Q.diagonal(-1)[:, None]
-        return cls(take, y, indices, indptr)
-
-    def permuted(self, q):
-        """This natural-order layout with rows and columns in order ``q``."""
-        n = len(self.indptr) - 1
-        rank = np.empty_like(q)
-        rank[q] = np.arange(n)
-        rows = rank[self.indices]
-        cols = rank[np.repeat(np.arange(n), np.diff(self.indptr))]
-        order = np.lexsort((rows, cols))                # CSC: by column, then by row
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-        return _Layout(self.take[order], self.y[order], rows[order].astype(np.int32), indptr, q)
-
-
-class _Layouts:
-    """A solve's Hessian layouts, natural and its LUs', shared by its functional's copies."""
-
-    natural = lu = None
+    def gather(self, slots):
+        """The CSC matrix from slots laid out as ``hessian``'s."""
+        data = slots.take(self.take)
+        data += self.y
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 #: SuperLU options for SPD matrices: symmetric mode, diagonal pivots.
@@ -350,13 +319,12 @@ def _lu_direction(func, slots, rhs):
     *Computer Solution of Large Sparse Positive Definite Systems*, 1981).
     Raises RuntimeError when SuperLU does.
     """
-    layouts = func._layouts
-    if layouts.lu is None:
+    if func.lu_order is None:
         lu = spla.splu(func.assemble(slots), permc_spec="MMD_AT_PLUS_A", **_SPD)
-        layouts.lu = func.layout().permuted(np.argsort(lu.perm_c))
+        func.lu_order = _Layout(func, func.k, True, np.argsort(lu.perm_c))
         return lu.solve(rhs)
-    q = layouts.lu.q
-    lu = spla.splu(func.assemble(slots, layouts.lu), permc_spec="NATURAL", **_SPD)
+    q = func.lu_order.q
+    lu = spla.splu(func.lu_order.gather(slots), permc_spec="NATURAL", **_SPD)
     d = np.empty_like(rhs)
     d[q] = lu.solve(rhs[q])
     return d
@@ -550,13 +518,13 @@ def _minimize(func, z0, tol, max_iter, counters, polish=True):
 def _warm_start(func, counters):
     """Initial iterate from the quadratic-law (p = 2) problem.
 
-    A single linear solve; used whenever it lowers the true energy below
-    the zero stack's.  The p = 2 functional shares ``func``'s block pattern.
+    A single linear solve on ``func`` with its law set to p = 2, then
+    restored; used whenever it lowers the true energy below the zero stack's.
     """
-    quad = copy.copy(func)
-    quad.nl = make_p_laplacian(2)
+    law, func.nl = func.nl, make_p_laplacian(2)
     zero = np.zeros((func.k, func.m))
-    d = _newton_direction(quad, zero, quad.gradient(zero), counters)
+    d = _newton_direction(func, zero, func.gradient(zero), counters)
+    func.nl = law
     if d is None:
         return zero
     z = d.reshape(func.k, func.m)
@@ -580,20 +548,20 @@ def _eps_path(nl):
 def _solve(func, tol, max_iter, counters):
     """Minimize ``func`` along its eps path; returns (z, info).
 
-    Intermediate stages stop at ``_STAGE_TOL`` without a polish; the last
-    stage is ``func``'s own law at ``tol``.  ``info`` is the last stage's,
-    with ``iterations`` summed over all stages and ``eps_stages`` holding
-    (eps, iterations) per stage.
+    Each stage sets ``func.nl``.  Intermediate stages stop at ``_STAGE_TOL``
+    without a polish; the last stage is ``func``'s own law at ``tol``.
+    ``info`` is the last stage's, with ``iterations`` summed over all stages
+    and ``eps_stages`` holding (eps, iterations) per stage.
     """
     z = None
     stages = []
-    for law in _eps_path(func.nl) + [func.nl]:
-        last = law is func.nl
-        stage = func if last else copy.copy(func)
-        stage.nl = law
+    own = func.nl
+    for law in _eps_path(own) + [own]:
+        last = law is own
+        func.nl = law
         if z is None:
-            z = _warm_start(stage, counters)
-        z, info = _minimize(stage, z, tol if last else _STAGE_TOL,
+            z = _warm_start(func, counters)
+        z, info = _minimize(func, z, tol if last else _STAGE_TOL,
                             max_iter - sum(it for _, it in stages), counters, polish=last)
         stages.append((getattr(law, "eps", None), info["iterations"]))
     info["iterations"] = sum(it for _, it in stages)
@@ -629,26 +597,17 @@ def radial_order_violation(grid, values):
     one rearrangement step.
     """
     worst = 0.0
-    if grid.n == 1:
-        x = grid.centers[:, 0]
+    for axis in range(grid.n):
+        along, on_line = grid.centers[:, axis], True
+        if grid.n == 2:
+            # One lattice row only; taking |across| minimal would interleave the
+            # two rows straddling the axis, whose cells tie in radius.
+            across = grid.centers[:, 1 - axis]
+            on_line = np.abs(across - np.min(across[across > 0])) < 1e-12
         for sign in (1.0, -1.0):
-            ray = sign * x > 0
-            v = values[ray][np.argsort(sign * x[ray])]
-            if len(v) > 1:
-                worst = max(worst, float(np.max(np.diff(v), initial=0.0)))
-        return worst
-    x, y = grid.centers[:, 0], grid.centers[:, 1]
-    for along, across in ((x, y), (y, x)):
-        # One lattice row only; taking |across| minimal would interleave the
-        # two rows straddling the axis, whose cells tie in radius.
-        row = np.min(across[across > 0])
-        band = np.abs(across - row) < 1e-12
-        for sign in (1.0, -1.0):
-            ray = band & (along * sign > 0)
-            order = np.argsort(along[ray] * sign)
-            v = values[ray][order]
-            if len(v) > 1:
-                worst = max(worst, float(np.max(np.diff(v), initial=0.0)))
+            ray = on_line & (along * sign > 0)
+            v = values[ray][np.argsort(along[ray] * sign)]
+            worst = max(worst, float(np.max(np.diff(v), initial=0.0)))
     return worst
 
 

@@ -6,7 +6,8 @@ identities, the Hardy-Littlewood and Polya-Szego inequalities, the L^1
 contraction of rearrangement, the exact C^t C = D2 factorization of the
 second-difference matrix, the monotonicity of the flux beta(|g|) g/|g|,
 the np.interp / searchsorted reading of a beta table, the slice
-functional without its y-coupling, and dense Gaussian mollification.
+functional without its y-coupling, slice x-blocks placed by lattice
+geometry, and dense Gaussian mollification.
 Nothing in the pipeline calls them.
 """
 
@@ -196,6 +197,26 @@ def uncoupled(func):
     """
     func.Q = sp.csr_matrix(func.Q.shape)
     return func
+
+
+def slot_blocks(grid, slots):
+    """The x-blocks held in stencil slots, one CSC matrix per row of ``slots``.
+
+    ``slots`` has shape (k, 3^n m).  Slot (s, i) couples cell i with the
+    cell whose centre lies at offset s*dx from cell i's, where digit d of s
+    in base 3, minus 1, is the offset along axis d.  Each block is placed by
+    that lattice geometry alone; slots that point off the grid must be zero.
+    """
+    n, m = grid.n, grid.num_cells
+    lattice = np.rint((grid.centers - grid.centers.min(axis=0)) / grid.dx).astype(int) + 1
+    cell_at = np.full((lattice.max() + 2,) * n, -1)
+    cell_at[tuple(lattice.T)] = np.arange(m)
+    offsets = (np.arange(3 ** n)[:, None] // 3 ** np.arange(n)) % 3 - 1
+    other = np.stack([cell_at[tuple((lattice + o).T)] for o in offsets])   # (3^n, m)
+    slots = np.asarray(slots).reshape(-1, 3 ** n, m)
+    assert not slots[:, other < 0].any(), "a slot points off the grid"
+    s, i = np.nonzero(other >= 0)
+    return [sp.csc_matrix((block[s, i], (i, other[s, i])), shape=(m, m)) for block in slots]
 
 
 def dense_mollify(stack, delta):

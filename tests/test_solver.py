@@ -1,4 +1,3 @@
-import copy
 import importlib.util
 from pathlib import Path
 
@@ -10,11 +9,11 @@ import scipy.sparse.linalg as spla
 from anisosym import (DiscreteProblem, make_ball_grid, make_disk_grid,
                       make_interval_grid, make_p_laplacian, make_square_grid,
                       moreau_yosida, sample_slices, shifted_p, solve_stack,
-                      solve_symmetrized, steiner_rearrangement, verify_mass_comparison,
-                      y_interpolant)
+                      radial_order_violation, solve_symmetrized, steiner_rearrangement,
+                      verify_mass_comparison, y_interpolant)
 from anisosym import solver
 from anisosym.grids import SliceStack
-from oracles import uncoupled, zero_stack
+from oracles import slot_blocks, uncoupled, zero_stack
 
 
 def problem_functional(prob):
@@ -613,33 +612,24 @@ def test_minimization_ends_without_a_kept_sample():
 
 
 def test_kept_sample_is_not_reused_across_laws():
-    # The warm start's p = 2 copy and the eps-path stage copies reassign their
-    # law; each must give a fresh functional's bits and leave func's sample intact.
+    # The warm start (p = 2) and the eps-path stages reassign the law of the
+    # solve's one functional; after each swap it must give a fresh functional's bits.
     grid, k = make_disk_grid(1.0, 12), 3
     rng = np.random.default_rng(19)
     f = rng.uniform(0.0, 1.0, (k, grid.num_cells))
     z = rng.uniform(0.0, 0.3, (k, grid.num_cells))
     law = moreau_yosida(make_p_laplacian(1.5), 1e-6, 1e-6)
     func = solver._StackFunctional(grid, law, f, 0.25)
-    func.energy(z)
-    func.gradient(z)
     for other in (make_p_laplacian(2), law.with_eps(1e-3), law):
-        stage = copy.copy(func)
-        stage.nl = other
+        func.gradient(z)                 # keep a full sample under the last law
+        func.nl = other
         fresh = solver._StackFunctional(grid, other, f, 0.25)
-        assert stage.energy(z) == fresh.energy(z)
-        assert np.array_equal(stage.gradient(z), fresh.gradient(z))
-        H, mean = hessian(stage, z)
+        assert func.energy(z) == fresh.energy(z)
+        assert np.array_equal(func.gradient(z), fresh.gradient(z))
+        H, mean = hessian(func, z)
         H_ref, mean_ref = hessian(fresh, z)
         assert np.array_equal(H.toarray(), H_ref.toarray())
         assert np.array_equal(mean.toarray(), mean_ref.toarray())
-    # The copies' Hessians normalized their own samples, not the one func keeps.
-    fresh = solver._StackFunctional(grid, law, f, 0.25)
-    assert func.energy(z) == fresh.energy(z)
-    assert np.array_equal(func.gradient(z), fresh.gradient(z))
-    func.nl = make_p_laplacian(2)
-    assert np.array_equal(func.gradient(z), solver._StackFunctional(
-        grid, make_p_laplacian(2), f, 0.25).gradient(z))
 
 
 def interval_functional():
@@ -666,15 +656,15 @@ def recorded_orderings(monkeypatch, fail_first=False):
 def test_ordered_lu_direction_matches_the_default_lu():
     # The warm start (p = 2 at zero) picks the order; Newton steps factor in it.
     func = interval_functional()
-    quad = copy.copy(func)
-    quad.nl = make_p_laplacian(2)
+    law = func.nl
     counters = new_counters()
     x = np.zeros((func.k, func.m))
-    for f in (quad, func, func):
-        g = f.gradient(x)
-        d = solver._newton_direction(f, x, g, counters)
-        assert func._layouts.lu is not None
-        H, _ = hessian(f, x)
+    for nl in (make_p_laplacian(2), law, law):
+        func.nl = nl
+        g = func.gradient(x)
+        d = solver._newton_direction(func, x, g, counters)
+        assert func.lu_order is not None
+        H, _ = hessian(func, x)
         ref = spla.splu(H).solve(-g.ravel())
         assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
         x = x + d.reshape(x.shape)
@@ -694,15 +684,18 @@ def test_one_fill_reducing_order_per_one_dimensional_solve(monkeypatch):
 
 
 def test_failed_first_lu_keeps_no_order(monkeypatch):
+    # The warm start's LU (p = 2) fails; the first stage's LU picks the order.
     specs = recorded_orderings(monkeypatch, fail_first=True)
     func = interval_functional()
+    law, func.nl = func.nl, make_p_laplacian(2)
     z = np.random.default_rng(23).uniform(0.0, 0.2, (func.k, func.m))
-    g = func.gradient(z)
     counters = new_counters()
-    assert solver._newton_direction(func, z, g, counters) is None
-    assert func._layouts.lu is None and counters["fallbacks"] == 1
+    assert solver._newton_direction(func, z, func.gradient(z), counters) is None
+    assert func.lu_order is None and counters["fallbacks"] == 1
+    func.nl = law
+    g = func.gradient(z)
     first = solver._newton_direction(func, z, g, counters)
-    assert func._layouts.lu is not None
+    assert func.lu_order is not None
     again = solver._newton_direction(func, z, g, counters)
     assert specs == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A", "NATURAL"]
     assert np.linalg.norm(again - first) <= 1e-12 * np.linalg.norm(first)
@@ -710,8 +703,8 @@ def test_failed_first_lu_keeps_no_order(monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(FUNCTIONAL_GRIDS))
 def test_hessian_gather_is_bitwise_the_permuted_sum(kind):
-    # Reference: the slice blocks as one block-diagonal CSC matrix, plus
-    # mc*kron(Q, I), then permuted -- the assembly the gather replaces.
+    # Reference: the slice blocks placed by lattice geometry, as one
+    # block-diagonal CSC matrix plus mc*kron(Q, I), then permuted; and their mean.
     grid, k = FUNCTIONAL_GRIDS[kind](), 4
     rng = np.random.default_rng(29)
     func = solver._StackFunctional(grid, moreau_yosida(make_p_laplacian(1.5), 1e-6, 1e-6),
@@ -719,16 +712,65 @@ def test_hessian_gather_is_bitwise_the_permuted_sum(kind):
     z = rng.uniform(0.0, 0.3, (k, grid.num_cells))
     z[1, :5] = 0.0                       # some zero gradients
     slots = func.hessian(z)
-    per_slice = slots[:-1].reshape(k, -1)
-    blocks = sp.block_diag([sp.csc_matrix((s.take(func._perm), func._indices, func._indptr),
-                                          shape=(func.m, func.m)) for s in per_slice], "csc")
-    ref = blocks + func.mc * sp.kron(func.Q, sp.eye(func.m), format="csc")
+    blocks = slot_blocks(grid, slots[:-1])
+    ref = sp.block_diag(blocks, "csc") + func.mc * sp.kron(func.Q, sp.eye(func.m), format="csc")
     H = func.assemble(slots)
     assert H.has_sorted_indices and np.array_equal(H.toarray(), ref.toarray())
+    mean = func.mean_block(slots)
+    mean_ref = sum(blocks[1:], blocks[0]) * (1 / k)
+    assert mean.has_sorted_indices and np.array_equal(mean.toarray(), mean_ref.toarray())
     lu = spla.splu(H, permc_spec="MMD_AT_PLUS_A", **solver._SPD)
     for q in (np.argsort(lu.perm_c), rng.permutation(k * func.m)):
-        P = func.assemble(slots, func.layout().permuted(q))
+        P = solver._Layout(func, k, True, q).gather(slots)
         assert P.has_sorted_indices and np.array_equal(P.toarray(), ref[q][:, q].toarray())
+
+
+def recorded_layouts(monkeypatch):
+    """Spy on solver._Layout: (k, coupled, in an LU order) of every layout built."""
+    real, built = solver._Layout, []
+
+    class Spy(real):
+        def __init__(self, func, k, coupled, q=None):
+            built.append((k, coupled, q is not None))
+            super().__init__(func, k, coupled, q)
+
+    monkeypatch.setattr(solver, "_Layout", Spy)
+    return built
+
+
+def test_each_layout_is_built_once_per_solve(monkeypatch):
+    # The warm start and every eps stage assemble through the solve's one
+    # functional, so neither rebuilds a layout.
+    built = recorded_layouts(monkeypatch)
+    g = make_interval_grid(1.0, 48)
+    f = sample_slices(g, 5, lambda c, y: np.exp(-20 * (c[:, 0] - 0.4) ** 2) * (1 + y))
+    sol = solve_stack(DiscreteProblem(g, moreau_yosida(make_p_laplacian(1.5), 1e-6, 1e-6), f))
+    assert len(sol.eps_stages) > 2 and sol.factorizations > 2
+    assert built == [(5, True, False), (5, True, True)]
+    del built[:]
+    sol = solve_stack(disk_problem(1.5))            # 2-D, with eps stages and mode LUs
+    assert len(sol.eps_stages) > 2 and sol.fallbacks == 0
+    assert built == [(5, True, False), (1, False, False)]
+
+
+@pytest.mark.parametrize("grid", [make_interval_grid(2.0, 16, centered=True),
+                                  make_disk_grid(1.0, 12)], ids=["interval", "disk"])
+def test_radial_order_violation_checks_each_ray_alone(grid):
+    c = grid.centers
+    decreasing = 1.0 - np.sqrt((c ** 2).sum(axis=1))
+    assert radial_order_violation(grid, decreasing) == 0.0
+    # Each ray still decreases, but the -x (and -y) rays lie above the
+    # opposite ones: read together by radius, the rays would show increases.
+    lopsided = decreasing + 0.1 * (c < 0).sum(axis=1)
+    assert radial_order_violation(grid, lopsided) == 0.0
+    # A bump on the +x ray (the lattice row nearest the axis on a disk).
+    on_ray = c[:, 0] > 0
+    if grid.n == 2:
+        on_ray &= c[:, 1] == c[c[:, 1] > 0, 1].min()
+    ray = np.flatnonzero(on_ray)[np.argsort(c[on_ray, 0])]
+    bumped = lopsided.copy()
+    bumped[ray[2]] += 0.25
+    assert radial_order_violation(grid, bumped) == bumped[ray[2]] - bumped[ray[1]] > 0.0
 
 
 def bench_workloads():
