@@ -186,6 +186,7 @@ def verify_mass_comparison(grid, nl, f_fn, N=7, M=64, grading="auto",
         "u_eps_stages": u_sol.eps_stages, "v_eps_stages": v_sol.eps_stages,
         "ode_sweeps": ode_counters["sweeps"],
         "ode_newton_steps": ode_counters["newton_steps"],
+        "ode_resolvent_steps": ode_counters["resolvent_steps"],
         "ball_cells": ball.num_cells, "ball_measure": ball.total_measure,
     }
     return ComparisonReport(

@@ -20,11 +20,11 @@ stack make one (N+2, M+1) array whose boundary rows are zero
 (``mass_functions_from_stack``).
 
 ``solve_mass_system`` solves the coupled system by Gauss-Seidel sweeps of
-the resolvent, smoothed by damped Newton corrections on all N x M interior
-unknowns.  In node-major order the Jacobian is banded with half-bandwidth
-N, an M-matrix for a monotone stencil and non-decreasing beta, and is
-factored in place by LAPACK's band LU (Golub & Van Loan, Matrix
-Computations, section 4.3).  The resolvent U + lam L U = G is the N = 1 case
+the resolvent, each started from the slice it replaces, smoothed by damped
+Newton corrections on all N x M interior unknowns.  In node-major order the
+Jacobian is banded with half-bandwidth N, an M-matrix for a monotone
+stencil and non-decreasing beta, and is factored in place by LAPACK's band
+LU (Golub & Van Loan, Matrix Computations, section 4.3).  The resolvent U + lam L U = G is the N = 1 case
 of the same system (lam F_1 = G, zero outer slices) and takes the same
 Newton step.
 """
@@ -66,6 +66,9 @@ class MassOperator:
     the even extension used to analyze the operator.  Node 0 carries only
     the Dirichlet condition and never an equation (kappa may vanish there).
     """
+
+    #: Newton corrections taken by the last ``resolvent`` call.
+    steps = 0
 
     def __init__(self, s_grid, nl):
         self.s_grid = s_grid
@@ -118,26 +121,34 @@ class MassOperator:
         t = -self.kappa * self.second_difference(U)
         return self.kappa * _odd_beta(self.nl, t)
 
-    def resolvent(self, lam, G, tol=1e-11):
+    def resolvent(self, lam, G, tol=1e-11, start=None):
         """Solve U + lam * (L U) = G with U(0) = 0 and U'(L) = 0.
 
-        The N = 1 mass system, solved by its Newton step from U = G.  The law
-        must provide ``dbeta`` with finite values (regularize degenerate laws
-        first).
+        The N = 1 mass system, solved by its Newton step from ``start``
+        (an (M+1,) finite mass row with start[0] = 0; U = G if None).  The
+        law must provide ``dbeta`` with finite values (regularize degenerate
+        laws first).  ``steps`` then holds the Newton corrections it took.
         """
         if lam <= 0:
             raise ValueError("lam must be positive")
         if getattr(self.nl, "dbeta", None) is None:
             raise ResolventError("resolvent Newton needs dbeta; regularize the law")
         G = np.asarray(G, dtype=float)
+        if start is None:
+            start = G
+        else:
+            start = np.asarray(start, dtype=float)
+            if start.shape != (self.M + 1,) or not np.all(np.isfinite(start)) or start[0] != 0:
+                raise ValueError(f"start must be a finite ({self.M + 1},) row with start[0] = 0")
         lamF = G[None, 1:]
         V = np.zeros((3, self.M + 1))
-        V[1, 1:] = G[1:]
+        V[1, 1:] = start[1:]
         scale = max(1.0, float(np.max(np.abs(G))))
         ab = np.zeros((4, self.M), order="F")
         r = _mass_residual(self, lam, lamF, V)
-        for _ in range(_MAX_NEWTON):
+        for steps in range(_MAX_NEWTON):
             if np.max(np.abs(r)) <= tol * scale:
+                self.steps = steps
                 return V[1]
             corrected = _newton_correction(self, lam, lamF, V, r, ab)
             if corrected is None:
@@ -310,9 +321,12 @@ def solve_mass_system(op, h, F, tol=1e-10, init=None, counters=None):
     with the resolvent; the iteration stops when the full-system residual
     drops below ``tol`` (times the data scale), and otherwise takes one
     damped Newton step on all N x M unknowns before the next sweep.
-    ``init`` may carry (N, M+1) warm-start rows for the interior slices.
+    Each resolvent starts from the slice's current row.  ``init`` may carry
+    (N, M+1) warm-start rows for the interior slices (finite, zero at s_0).
     ``counters``, when given, receives the ``sweeps`` and ``newton_steps``
-    taken.  Returns the (N+2, M+1) solution, zero boundary rows included.
+    taken and the ``resolvent_steps`` (Newton corrections inside the
+    resolvents).  Returns the (N+2, M+1) solution, zero boundary rows
+    included.
     """
     F = np.asarray(F, dtype=float)
     drop = np.diff(F, axis=1) < -1e-12 * np.maximum(1.0, F.max(axis=1))[:, None]
@@ -327,13 +341,14 @@ def solve_mass_system(op, h, F, tol=1e-10, init=None, counters=None):
         V[1:-1] = init
     scale = max(1.0, float(np.max(np.abs(F))))
     counters = {} if counters is None else counters
-    counters.update(sweeps=0, newton_steps=0)
+    counters.update(sweeps=0, newton_steps=0, resolvent_steps=0)
     ab = np.zeros((3 * N + 1, N * op.M), order="F")
     for _ in range(_MAX_OUTER):
         counters["sweeps"] += 1
         for j in range(1, N + 1):
             G = lam * F[j - 1] + 0.5 * (V[j - 1] + V[j + 1])
-            V[j] = op.resolvent(lam, G, tol=min(tol, 1e-11))
+            V[j] = op.resolvent(lam, G, tol=min(tol, 1e-11), start=V[j])
+            counters["resolvent_steps"] += op.steps
         r = _mass_residual(op, lam, lamF, V)
         res = float(np.max(np.abs(r)))
         if res <= tol * scale:

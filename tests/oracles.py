@@ -7,7 +7,8 @@ contraction of rearrangement, the exact C^t C = D2 factorization of the
 second-difference matrix, the monotonicity of the flux beta(|g|) g/|g|,
 the np.interp / searchsorted reading of a beta table, the slice
 functional without its y-coupling, slice x-blocks placed by lattice
-geometry, and dense Gaussian mollification.
+geometry, dense Gaussian mollification, and the mass-system sweep with
+cold-started resolvents.
 Nothing in the pipeline calls them.
 """
 
@@ -19,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from anisosym import SliceStack, gradient_functional, symmetrized_grid
+from anisosym.mass_ode import _mass_residual, _newton_correction
 from anisosym.nonlinearity import TINY_T
 
 # Measure of the unit ball in R^n.
@@ -269,3 +271,32 @@ def interp_table_law(ts, bs):
 
     return beta, a, B, dbeta
 
+
+
+def cold_mass_sweeps(op, h, F, tol=1e-10):
+    """``solve_mass_system``'s loop with every resolvent started from its G.
+
+    Gauss-Seidel sweeps of the resolvent, each followed by the residual test
+    and one damped Newton correction on all slices.  Returns the (N+2, M+1)
+    solution and the Newton corrections taken inside the resolvents.
+    """
+    F = np.asarray(F, dtype=float)
+    N = F.shape[0]
+    lam = h ** 2 / 2.0
+    lamF = lam * F[:, 1:]
+    V = np.zeros((N + 2, F.shape[1]))
+    scale = max(1.0, float(np.max(np.abs(F))))
+    ab = np.zeros((3 * N + 1, N * op.M), order="F")
+    steps = 0
+    for _ in range(50):
+        for j in range(1, N + 1):
+            V[j] = op.resolvent(lam, lam * F[j - 1] + 0.5 * (V[j - 1] + V[j + 1]),
+                                tol=min(tol, 1e-11))
+            steps += op.steps
+        r = _mass_residual(op, lam, lamF, V)
+        if np.max(np.abs(r)) <= tol * scale:
+            return V, steps
+        corrected = _newton_correction(op, lam, lamF, V, r, ab)
+        if corrected is not None:
+            V = corrected[0]
+    raise AssertionError("cold mass sweeps did not converge")

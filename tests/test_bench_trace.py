@@ -48,6 +48,8 @@ def test_traced_call_yields_every_per_layer_metric(grid):
     # every traced LU is one the report counts: none is hidden from it
     assert metrics["solver.lu_count"] == (rep.meta["u_factorizations"]
                                           + rep.meta["v_factorizations"])
+    # every sweep resolves each slice once: a warm start neither hides nor adds a call
+    assert metrics["mass_ode.resolvent_calls"] == rep.meta["N"] * rep.meta["ode_sweeps"]
     # every pipeline stage is made of traced calls
     stages = tracing.stage_agreement(tracer.spans, rep.timings)
     assert set(stages) == set(rep.timings)

@@ -91,9 +91,11 @@ def test_report_csv_and_json(tmp_path):
     # ... but one LU of the whole Hessian per linear solve, the warm start's included.
     for key in ("u_factorizations", "v_factorizations"):
         assert payload["meta"][key] >= 1
-    # The mass-ODE solve records its sweeps and the Newton steps between them.
+    # The mass-ODE solve records its sweeps, the Newton steps between them and
+    # the Newton corrections inside its resolvents.
     assert payload["meta"]["ode_sweeps"] >= 1
     assert 0 <= payload["meta"]["ode_newton_steps"] < payload["meta"]["ode_sweeps"]
+    assert payload["meta"]["ode_resolvent_steps"] >= 0
     # The ball of a 32-cell interval is the centered interval of 32 cells.
     assert payload["meta"]["ball_cells"] == 32
     assert payload["meta"]["ball_measure"] == pytest.approx(1.0, rel=1e-14)

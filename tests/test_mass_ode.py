@@ -11,8 +11,8 @@ from anisosym import (MassOperator, ResolventError, ScalarField,
                       subsolution_slack, t_accretivity_check,
                       verify_mass_comparison)
 from anisosym.mass_ode import _fill_jacobian, _mass_residual
-from oracles import (StepData, difference_factor, second_difference_matrix,
-                     zero_stack)
+from oracles import (StepData, cold_mass_sweeps, difference_factor,
+                     second_difference_matrix, zero_stack)
 
 
 def quad_mass(s_grid, L):
@@ -134,6 +134,43 @@ def test_resolvent_is_the_one_slice_mass_system(n, grading):
     U = op.resolvent(1.0 / 8.0, G)
     V = solve_mass_system(op, 0.5, [8.0 * G], tol=1e-11)
     assert np.max(np.abs(U - V[1])) <= 1e-10 * max(1.0, np.max(G))
+
+
+@pytest.mark.parametrize("law", [make_p_laplacian(2),
+                                 moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6),
+                                 moreau_yosida(make_p_laplacian(1.5), 1e-6, 1e-6)],
+                         ids=["p2", "reg3", "reg1.5"])
+def test_warm_started_resolvent_matches_cold(law):
+    s_grid = make_radial_grid(1, 1.0, 32)
+    op = MassOperator(s_grid, law)
+    rng = np.random.default_rng(17)
+    for lam in (0.05, 1.0):
+        for _ in range(10):
+            G, start = random_mass_functions(op, 2, rng)
+            cold = op.resolvent(lam, G)
+            warm = op.resolvent(lam, G, start=start)
+            assert np.max(np.abs(warm - cold)) <= 1e-10 * max(1.0, np.max(np.abs(G)))
+
+
+def test_resolvent_rejects_a_bad_start():
+    op = MassOperator(make_radial_grid(1, 1.0, 8), make_p_laplacian(2))
+    G = quad_mass(op.s_grid, 1.0)
+    for start in (G[1:], np.where(np.arange(9) == 4, np.nan, G), G + 0.1):
+        with pytest.raises(ValueError, match="start must be a finite"):
+            op.resolvent(0.5, G, start=start)
+
+
+def test_warm_sweeps_take_fewer_resolvent_steps_than_cold():
+    grid = make_interval_grid(1.0, 48)
+    f = sample_slices(grid, 7, lambda c, y: np.exp(-30 * (c[:, 0] - 0.4) ** 2) * (1 + y))
+    s_grid = make_radial_grid(1, grid.total_measure, 24)
+    F = mass_functions_from_stack(f, s_grid)[1:-1]
+    op = MassOperator(s_grid, moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6))
+    cold, cold_steps = cold_mass_sweeps(op, f.h, F)
+    counters = {}
+    warm = solve_mass_system(op, f.h, F, counters=counters)
+    assert 0 < counters["resolvent_steps"] < cold_steps
+    assert np.max(np.abs(warm - cold)) <= 1e-9
 
 
 def decreasing_law():

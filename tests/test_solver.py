@@ -640,17 +640,18 @@ def interval_functional():
 
 
 def recorded_orderings(monkeypatch, fail_first=False):
-    """Spy on spla.splu: the permc_spec of every call, in call order."""
-    real, specs = spla.splu, []
+    """Spy on spla.splu: the permc_spec and the other options of every call, in call order."""
+    real, specs, options = spla.splu, [], []
 
     def spy(A, *args, permc_spec=None, **kwargs):
         specs.append(permc_spec)
+        options.append(kwargs)
         if fail_first and len(specs) == 1:
             raise RuntimeError("Factor is exactly singular")
         return real(A, *args, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(spla, "splu", spy)
-    return specs
+    return specs, options
 
 
 def test_ordered_lu_direction_matches_the_default_lu():
@@ -672,7 +673,7 @@ def test_ordered_lu_direction_matches_the_default_lu():
 
 
 def test_one_fill_reducing_order_per_one_dimensional_solve(monkeypatch):
-    specs = recorded_orderings(monkeypatch)
+    specs, _ = recorded_orderings(monkeypatch)
     g = make_interval_grid(1.0, 48)
     f = sample_slices(g, 5, lambda c, y: np.exp(-20 * (c[:, 0] - 0.4) ** 2) * (1 + y))
     for law in (moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6),
@@ -683,9 +684,31 @@ def test_one_fill_reducing_order_per_one_dimensional_solve(monkeypatch):
         assert len(specs) == sol.factorizations and sol.fallbacks == 0
 
 
+@pytest.mark.parametrize("grid", [make_interval_grid(1.0, 32), make_square_grid(1.0, 8)],
+                         ids=["interval", "square"])
+def test_every_lu_uses_the_spd_options(monkeypatch, grid):
+    # 1-D: the full-Hessian LUs; 2-D: the mode LUs each stage builds.
+    specs, options = recorded_orderings(monkeypatch)
+    f = sample_slices(grid, 4, lambda c, y: np.exp(-20 * ((c - 0.4) ** 2).sum(axis=1)) * (1 + y))
+    sol = solve_stack(DiscreteProblem(grid, moreau_yosida(make_p_laplacian(3), 1e-6, 1e-6), f))
+    assert len(options) == sol.factorizations >= (1 if grid.n == 1 else 2 * 4)
+    for kwargs in options:
+        assert kwargs["panel_size"] == solver._SPD["panel_size"] == 1
+        assert kwargs["diag_pivot_thresh"] == solver._SPD["diag_pivot_thresh"]
+        assert kwargs["options"]["SymmetricMode"] is True
+
+
+def test_rounding_floor_stall_names_the_floor():
+    g = make_interval_grid(1.0, 12)
+    f = sample_slices(g, 3, lambda c, y: np.exp(-20 * (c[:, 0] - 0.4) ** 2) * (1 + y))
+    with pytest.raises(solver.SolverError, match=r"stalled at the energy's rounding floor "
+                       r"64 eps \|J\| = .* residual .* toward tol 1\.0e-20"):
+        solve_stack(DiscreteProblem(g, make_p_laplacian(2), f), tol=1e-20)
+
+
 def test_failed_first_lu_keeps_no_order(monkeypatch):
     # The warm start's LU (p = 2) fails; the first stage's LU picks the order.
-    specs = recorded_orderings(monkeypatch, fail_first=True)
+    specs, _ = recorded_orderings(monkeypatch, fail_first=True)
     func = interval_functional()
     law, func.nl = func.nl, make_p_laplacian(2)
     z = np.random.default_rng(23).uniform(0.0, 0.2, (func.k, func.m))
