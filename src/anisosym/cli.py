@@ -230,6 +230,11 @@ def main(argv=None):
             print("config error line 0: --values must be comma-separated numbers",
                   file=sys.stderr)
             return 2
+        if not args.values or (args.param == "h" and not all(v.is_integer() and v >= 1
+                                                               for v in args.values)):
+            print("config error line 0: --values must list at least one value, and slice "
+                  "counts (integers >= 1) for h", file=sys.stderr)
+            return 2
 
     out_dir = args.out or cfg["dir"]
     os.makedirs(out_dir, exist_ok=True)

@@ -269,6 +269,8 @@ def epsilon_tau_sweep(grid, nl, f_fn, eps_list, tau_list, N=7, M=64,
     solutions must look Cauchy in L^1; the mass comparison must pass at
     every point.  Failed solves are recorded, not fatal.
     """
+    if not eps_list or not tau_list:
+        raise ValueError("eps_list and tau_list must each hold at least one value")
     eps_sorted = sorted(eps_list, reverse=True)
     combos = [(t, e) for t in tau_list for e in eps_sorted]
 
@@ -310,8 +312,8 @@ def h_refinement_study(grid, nl, f_fn, N_list, M=64, slack_c=10.0, tol=1e-9, **k
     L^1 differences must decrease, the discrete H^1 norms stay bounded, and
     the comparison deficiency must not grow under refinement.
     """
-    if any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise ValueError("N_list must increase")
+    if not N_list or any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise ValueError("N_list must be non-empty and increase")
 
     results = [(N, verify_mass_comparison(grid, nl, f_fn=f_fn, N=N, M=M,
                                           slack_c=slack_c, tol=tol, **kw))

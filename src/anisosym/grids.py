@@ -4,10 +4,11 @@ Three discretizations live here:
 
 * ``CellGrid`` -- a uniform cell-centered grid on an interval, square or
   disk-mask domain in R^n (n = 1 or 2).  Cells all have measure dx^n and
-  carry neighbor indices for finite differences; the domain wall sits at
-  distance dx/2 from a boundary-cell center.  The symmetrized image of an
-  m-cell domain is a ball of exactly m cells of the same measure, so the
-  Steiner rearrangement of each slice is a permutation of its values.
+  carry neighbor indices, from which the grid builds its one-sided
+  difference operator; the domain wall sits at distance dx/2 from a
+  boundary-cell center.  The symmetrized image of an m-cell domain is a
+  ball of exactly m cells of the same measure, so the Steiner
+  rearrangement of each slice is a permutation of its values.
 * ``RadialGrid`` -- a partition of (0, |domain|), the measure axis on which
   decreasing rearrangements and their integrals live.
 * ``SliceStack`` -- N interior copies of a scalar field plus two zero
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def perimeter_factor(n, s):
@@ -52,13 +54,12 @@ class CellGrid:
     dx: float
     centers: np.ndarray            # (m, n)
     neighbors: tuple               # per axis: (minus_idx, plus_idx)
-    boundary: np.ndarray           # (m,) bool
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=float)
         if self.centers.ndim != 2 or self.centers.shape[1] != self.n:
             raise ValueError("centers must have shape (m, n)")
-        self._stencils = None
+        self._difference = None
 
     @property
     def num_cells(self):
@@ -72,49 +73,40 @@ class CellGrid:
     def total_measure(self):
         return self.num_cells * self.cell_measure
 
-    def orientation_stencils(self):
-        """One-sided difference stencils, one per orientation of the axes.
+    def difference_operator(self):
+        """One-sided differences in every orientation: a CSR matrix D, built once.
 
-        Returns a list of 2^n orientations; each is a list over axes of
-        ``(other, scale)`` arrays such that the sampled gradient component is
-        ``scale * (u[other] - u)`` with ``u[-1]`` read as the zero wall value.
-        Walls are at distance dx/2, interior neighbors at distance dx, and
-        ``scale`` carries the orientation sign so the component approximates
-        du/dx_k in both orientations.
+        Row (q n + k) m + i of D, shape (2^n n m, m), is du/dx_k at cell i in
+        orientation q, which steps toward -x_k where bit k of q is set and
+        toward +x_k otherwise.  A row that meets the wall (zero, at distance
+        dx/2) holds only the cell's own entry, at 2/dx.
         """
-        if self._stencils is None:
-            built = []
-            for bits in range(2 ** self.n):
-                axes = []
-                for k in range(self.n):
-                    forward = (bits >> k) & 1 == 0
-                    minus, plus = self.neighbors[k]
-                    other = plus if forward else minus
-                    sign = 1.0 if forward else -1.0
+        if self._difference is None:
+            m, own, parts = self.num_cells, np.arange(self.num_cells), []
+            for q in range(2 ** self.n):
+                for k, (minus, plus) in enumerate(self.neighbors):
+                    other, sign = (minus, -1.0) if (q >> k) & 1 else (plus, 1.0)
                     scale = np.where(other >= 0, sign / self.dx, sign * 2.0 / self.dx)
-                    axes.append((other, scale))
-                built.append(axes)
-            self._stencils = built
-        return self._stencils
+                    nb = np.flatnonzero(other >= 0)
+                    parts.append((np.r_[-scale, scale[nb]], (q * self.n + k) * m + np.r_[own, nb],
+                                  np.r_[own, other[nb]]))
+            vals, rows, cols = (np.concatenate(p) for p in zip(*parts))
+            self._difference = sp.csr_matrix((vals, (rows, cols)), shape=(len(parts) * m, m))
+        return self._difference
 
 
 def cell_gradients(grid, values):
     """Sampled gradients per orientation, shape (2^n, ..., m, n) for values (..., m).
 
-    Each orientation takes one-sided differences along every axis
-    (toward the +x / -x neighbor, with the homogeneous wall value at
-    distance dx/2 where the neighbor is missing).  Averaging isotropic
-    functionals over all orientations gives a convex, consistent
-    discretization of integral functionals of |grad u|.
+    A view of the C-ordered (2^n, n, m, ...) array D @ values.T, D the
+    grid's ``difference_operator``.  Averaging isotropic functionals over
+    all orientations gives a convex, consistent discretization of integral
+    functionals of |grad u|.
     """
     u = np.asarray(values, dtype=float)
-    stencils = grid.orientation_stencils()
-    out = np.empty((len(stencils),) + u.shape + (grid.n,))
-    for q, axes in enumerate(stencils):
-        for k, (other, scale) in enumerate(axes):
-            uo = np.where(other >= 0, u[..., np.maximum(other, 0)], 0.0)
-            out[q, ..., k] = scale * (uo - u)
-    return out
+    n, m = grid.n, grid.num_cells
+    d = grid.difference_operator() @ u.reshape(-1, m).T
+    return np.moveaxis(d.reshape((2 ** n, n, m) + u.shape[:-1]), (1, 2), (-1, -2))
 
 
 def gradient_functional(grid, values, func):
@@ -135,9 +127,7 @@ def make_interval_grid(length, m, centered=False):
     xs = left + (np.arange(m) + 0.5) * dx
     minus = np.arange(-1, m - 1)
     plus = np.concatenate([np.arange(1, m), [-1]])
-    boundary = np.zeros(m, dtype=bool)
-    boundary[[0, -1]] = True
-    return CellGrid(1, "interval", dx, xs[:, None], ((minus, plus),), boundary)
+    return CellGrid(1, "interval", dx, xs[:, None], ((minus, plus),))
 
 
 def _lattice_grid(keep, coords, dx, kind):
@@ -157,8 +147,7 @@ def _lattice_grid(keep, coords, dx, kind):
 
     nb_x = (shift(0, -1), shift(0, 1))
     nb_y = (shift(-1, 0), shift(1, 0))
-    boundary = (nb_x[0] < 0) | (nb_x[1] < 0) | (nb_y[0] < 0) | (nb_y[1] < 0)
-    return CellGrid(2, kind, dx, centers, (nb_x, nb_y), boundary)
+    return CellGrid(2, kind, dx, centers, (nb_x, nb_y))
 
 
 def make_square_grid(side, m_per_axis):

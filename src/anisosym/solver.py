@@ -11,15 +11,17 @@ whose Euler-Lagrange equations are the sliced problem
 
     -div_x(a(|grad_x u_j|) grad_x u_j) - (u_{j+1} - 2u_j + u_{j-1})/h^2 = f_j.
 
-The x-part uses the orientation-averaged one-sided gradient sampling from
-``grids.cell_gradients`` (for n = 1 this is exactly P1 finite elements on
-the cell centers plus wall nodes; for n = 2 and p = 2 it reduces to the
-5-point scheme).  All slices are evaluated in one pass, and each iterate is
-sampled once: the line search's energy, the gradient and the Hessian share
-the kept sample.  One functional serves a solve; its warm start and eps
-stages only change the law.  So the CSC layout of each matrix it assembles
-(``_Layout``), the same for every Newton step, is built once per solve,
-and each Hessian is gathered straight into it.
+The x-part averages the one-sided differences of the grid's difference
+operator D over orientations (for n = 1 this is exactly P1 finite elements
+on the cell centers plus wall nodes; for n = 2 and p = 2 it reduces to the
+5-point scheme).  Sampling is D z (``grids.cell_gradients``), the gradient
+D^T(a d), and the x-blocks P @ W for a scatter P built from D
+(``_block_scatter``).  All slices are evaluated in one pass, and each
+iterate is sampled once: the line search's energy, the gradient and the
+Hessian share the kept sample.  One functional serves a solve; its warm
+start and eps stages only change the law.  So the CSC layout of each
+matrix it assembles (``_Layout``), the same for every Newton step, is
+built once per solve, and each Hessian is gathered straight into it.
 Minimization is by damped Newton with Armijo backtracking; the Hessian is
 SPD and block tridiagonal in the slice index.  Newton directions come from
 one sparse LU of the Hessian in a fill-reducing order picked once per solve
@@ -132,17 +134,44 @@ def _y_modes(N, h):
     return S, lam
 
 
+def _block_scatter(D, n, m):
+    """The scatter P of an x-block sum_q sum_{k1,k2} D_{q,k1}^T diag(W) D_{q,k2}.
+
+    D_{q,k} is D's m x m block of rows for axis k in orientation q, and W
+    holds one coefficient per (q, pair k1 <= k2, cell), in C order, for
+    both (k1, k2) and (k2, k1).  Returns P, the pairs, and the cells (rows,
+    cols) of the E block entries in CSC order: row e of P @ W is entry e,
+    and P's last row is empty.
+    """
+    pairs = [(k1, k2) for k1 in range(n) for k2 in range(k1, n)]
+    # A row of D holds its cell's own entry and, off the wall, the
+    # neighbor's: as two (cell, value) columns, cell -1 where there is none.
+    row = D.tocoo().row
+    nth = np.arange(D.nnz) - D.indptr[row]
+    cell, coef = np.full((D.shape[0], 2), -1), np.zeros((D.shape[0], 2))
+    cell[row, nth], coef[row, nth] = D.indices, D.data
+    # Axes (q, k1, k2, i, a, b): D's entry a in row (q, k1, i) times entry b in row (q, k2, i).
+    c1, c2 = cell.reshape(2 ** n, n, 1, m, 2, 1), cell.reshape(2 ** n, 1, n, m, 1, 2)
+    hit = (c1 >= 0) & (c2 >= 0)
+    pair = np.array([[pairs.index((min(a, b), max(a, b))) for b in range(n)] for a in range(n)])
+    at = (np.arange(2 ** n)[:, None, None] * len(pairs) + pair)[..., None] * m + np.arange(m)
+    keys, entry = np.unique((c2 * m + c1)[hit], return_inverse=True)     # CSC order
+    P = sp.csr_matrix(((coef.reshape(c1.shape) * coef.reshape(c2.shape))[hit],
+                       (entry, np.broadcast_to(at[..., None, None], hit.shape)[hit])),
+                      shape=(len(keys) + 1, 2 ** n * len(pairs) * m))
+    return P, pairs, (keys % m).astype(np.int32), (keys // m).astype(np.int32)
+
+
 class _StackFunctional:
     """Energy, gradient and Hessian of J on the stacked interior unknowns.
 
-    ``h`` is the slice spacing.  A slice block is held in stencil slots,
-    slot (s, i) coupling cell i with cell ``_col[s, i]``, the cell at lattice
-    offset s in {-1, 0, 1}^n (-1 where there is none).  One functional
-    serves a whole solve: the warm start and the eps stages reassign ``nl``.
-    It keeps the last iterate's sample (``_sample``) and the ``_Layout`` of
-    each matrix it assembles: H in natural order (``natural``), H in the
-    order of its LUs (``lu_order``, set by ``_lu_direction``) and the mean
-    x-block.
+    ``h`` is the slice spacing.  With D the grid's difference operator,
+    sampling is D z, the gradient D^T(a d) and the x-blocks P @ W
+    (``_block_scatter``).  One functional serves a whole solve: the warm
+    start and the eps stages reassign ``nl``.  It keeps the last iterate's
+    sample (``_sample``) and the ``_Layout`` of each matrix it assembles: H
+    in natural order (``natural``), H in the order of its LUs
+    (``lu_order``, set by ``_lu_direction``) and the mean x-block.
     """
 
     def __init__(self, grid, nl, f_rows, h):
@@ -155,53 +184,32 @@ class _StackFunctional:
         self.h = h
         self.Q = _y_coupling(self.k, h)
         self.weight = 1.0 / 2 ** grid.n
-        self.stencils = grid.orientation_stencils()
+        D = grid.difference_operator()
+        self.DT = D.T                                   # a CSC view, for the gradient
+        self.P, self.pairs, *self.entries = _block_scatter(D, grid.n, self.m)
         self._kept = self.natural = self.lu_order = self._mean = None
-        self._col = np.full((3 ** grid.n, self.m), -1, dtype=np.int32)
-        for *_, kinds in self._terms():
-            for rows, s, _, _, col in kinds:
-                self._col[s, rows] = col
-
-    def _terms(self):
-        """Per (orientation, k1, k2): q, k1, k2, the two scales and the term kinds.
-
-        The kinds add c at (i, i), -c at (i, other2), -c at (other1, i) and c at
-        (other1, other2), each given as (rows, slot, cells, sign, columns)."""
-        n, m = self.grid.n, self.m
-        slot = lambda offset: int(np.dot(offset, 3 ** np.arange(n))) + 3 ** n // 2
-        for q, axes in enumerate(self.stencils):
-            # Orientation q steps toward -x_k where bit k of q is set.
-            step = np.diag(1 - 2 * ((q >> np.arange(n)) & 1))
-            for k1, (oth1, sc1) in enumerate(axes):
-                for k2, (oth2, sc2) in enumerate(axes):
-                    v1, v2 = oth1 >= 0, oth2 >= 0
-                    v1, v2, both = np.flatnonzero(v1), np.flatnonzero(v2), np.flatnonzero(v1 & v2)
-                    yield q, k1, k2, sc1, sc2, [
-                        (slice(None), 3 ** n // 2, slice(None), 1.0, np.arange(m)),
-                        (v2, slot(step[k2]), v2, -1.0, oth2[v2]),
-                        (oth1[v1], slot(-step[k1]), v1, -1.0, v1),
-                        (oth1[both], slot(step[k2] - step[k1]), both, 1.0, oth2[both])]
 
     def _sample(self, z, with_a=False):
-        """Sampled gradients d, shape (2^n, k, m, n), of all slices, |d|, and a(|d|) if asked.
+        """Sampled gradients d = D z, shape (2^n, n, m, k), |d|, and a(|d|) if asked.
 
         The last sample is kept, keyed by the iterate's values and the law,
         so the line search's ``energy``, then ``gradient`` and ``hessian``
-        sample an accepted iterate once.  ``_slots`` and the end of
+        sample an accepted iterate once.  ``hessian`` and the end of
         ``_minimize`` drop it.
         """
         kept = self._kept
         if kept is None or kept[1] is not self.nl or not np.array_equal(kept[0], z):
             self._kept = None                    # free the old sample first
-            d = cell_gradients(self.grid, z)
-            kept = (np.array(z, dtype=float), self.nl, d, np.sqrt((d ** 2).sum(axis=-1)), None)
+            d = np.moveaxis(cell_gradients(self.grid, z), (-1, -2), (1, 2))
+            kept = (np.array(z, dtype=float), self.nl, d, np.sqrt((d ** 2).sum(axis=1)), None)
         if with_a and kept[4] is None:
             kept = kept[:4] + (self.nl.a(kept[3]),)
         self._kept = kept
         return kept[2:] if with_a else kept[2:4]
 
     def energy(self, z):
-        per_slice = self.mc * self.nl.B(self._sample(z)[1]).mean(axis=0).sum(axis=-1)
+        per_cell = self.nl.B(self._sample(z)[1]).mean(axis=0)          # (m, k)
+        per_slice = self.mc * np.ascontiguousarray(per_cell.T).sum(axis=-1)
         val = float(np.cumsum(per_slice)[-1])          # summed in slice order
         val += 0.5 * self.mc * float(np.sum(z * (self.Q @ z)))
         val -= self.mc * float(np.sum(self.f_rows * z))
@@ -209,21 +217,14 @@ class _StackFunctional:
 
     def gradient(self, z):
         d, _, a = self._sample(z, with_a=True)
-        coef = self.weight * self.mc * a
-        g = np.zeros_like(z)
-        for q, axes in enumerate(self.stencils):
-            for kk, (other, scale) in enumerate(axes):
-                t = coef[q] * d[q, ..., kk] * scale
-                g -= t
-                valid = other >= 0
-                # One-sided neighbors are distinct, so no index repeats.
-                g[:, other[valid]] += t[:, valid]
+        flux = (self.weight * self.mc * a)[:, None] * d
+        g = np.ascontiguousarray((self.DT @ flux.reshape(-1, self.k)).T)
         g += self.mc * (self.Q @ z)
         g -= self.mc * self.f_rows
         return g
 
     def hessian(self, z):
-        """The slices' x-blocks at z in stencil slots, (k, 3^n, m) flat, plus one zero.
+        """The slices' x-block entries at z, shape (E + 1, k): P @ W, a zero row last.
 
         ``assemble``, ``mean_block`` and ``lu_order.gather`` build matrices from them."""
         # The kept mode LUs are alive here, so the kept sample is dropped and
@@ -231,30 +232,29 @@ class _StackFunctional:
         d, mag, a = self._sample(z, with_a=True)
         self._kept = None                # d is normalized in place below
         da = self.nl.dbeta(mag) - a
-        d /= np.maximum(mag, 1e-300)[..., None]          # unit gradients, in place
-        d[mag < 1e-14] = 0.0
+        d /= np.maximum(mag, 1e-300)[:, None]            # unit gradients, in place
+        np.copyto(d, 0.0, where=(mag < 1e-14)[:, None])
         del mag
-        flat = np.zeros(self.k * 3 ** self.grid.n * self.m + 1)
-        slots = flat[:-1].reshape(self.k, 3 ** self.grid.n, self.m)
-        for q, k1, k2, sc1, sc2, kinds in self._terms():
-            c = self.weight * self.mc * ((a[q] if k1 == k2 else 0.0) + da[q]
-                                         * d[q, ..., k1] * d[q, ..., k2]) * sc1 * sc2
-            for rows, s, sel, sign, _ in kinds:
-                slots[:, s, rows] += sign * c[:, sel]
-        return flat
+        W = np.empty((2 ** self.grid.n, len(self.pairs), self.m, self.k))
+        for p, (k1, k2) in enumerate(self.pairs):
+            np.multiply(da * d[:, k1], d[:, k2], out=W[:, p])
+            W[:, p] += a if k1 == k2 else 0.0
+        W *= self.weight * self.mc
+        del d, da, a
+        return self.P @ W.reshape(-1, self.k)
 
-    def assemble(self, slots):
-        """The CSC Hessian from ``hessian``'s slots, in natural order."""
+    def assemble(self, entries):
+        """The CSC Hessian from ``hessian``'s entries, in natural order."""
         if self.natural is None:              # built on first use, from Q as it is then
             self.natural = _Layout(self, self.k, True)
-        return self.natural.gather(slots)
+        return self.natural.gather(entries)
 
-    def mean_block(self, slots):
-        """The mean of the slice x-blocks in ``hessian``'s slots, CSC."""
+    def mean_block(self, entries):
+        """The mean of the slice x-blocks in ``hessian``'s entries, CSC."""
         if self._mean is None:
             self._mean = _Layout(self, 1, False)
-        # In C order, sum(axis=0) adds the blocks in slice order.
-        return self._mean.gather(slots[:-1].reshape(self.k, -1).sum(axis=0) * (1 / self.k))
+        mean = sum(entries.T[1:], entries[:, 0]) * (1 / self.k)      # summed in slice order
+        return self._mean.gather(mean)
 
     def dual_norm(self, g):
         """Max over slices of the mass-preconditioned l2 residual norm."""
@@ -265,44 +265,47 @@ class _Layout:
     """The CSC pattern of k slice x-blocks, plus the y-coupling when ``coupled``,
     with rows and columns in order ``q`` (None for the natural order).
 
-    Entry e is slot ``take[e]`` of k slices' slots (the trailing zero where
-    only the y-coupling acts) plus ``y[e]``, the constant part mc*kron(Q, I)
-    (0.0 without the coupling): one take and one add per matrix (``gather``).
+    Entry e is ``take[e]`` of the flat (E + 1, k) block entries that
+    ``hessian`` returns (their trailing zero where only the y-coupling
+    acts); the constant part mc*kron(Q, I) adds ``y`` at entries ``y_at``:
+    one take and one add per matrix (``gather``).
     """
 
     def __init__(self, func, k, coupled, q=None):
-        m, per_slice, size = func.m, func._col.size, k * func.m
-        s, i = np.nonzero(func._col >= 0)           # block entry (i, _col[s, i]) is slot (s, i)
-        col = func._col[s, i]
+        m, size = func.m, k * func.m
+        r, c = func.entries                      # block entry e couples cell r[e] with c[e]
+        E = len(r)
         first = np.arange(k, dtype=np.int32)[:, None] * m       # slice j's first row
         up = np.arange((k - 1) * m if coupled else 0, dtype=np.int32)  # cell (j, i) to (j + 1, i)
-        rows = np.concatenate([(i.astype(np.int32) + first).ravel(), up, up + m])
-        cols = np.concatenate([(col + first).ravel(), up + m, up])
+        rows = np.concatenate([(r + first).ravel(), up, up + m])
+        cols = np.concatenate([(c + first).ravel(), up + m, up])
         if q is not None:
             rank = np.empty(size, dtype=np.int32)
             rank[q] = np.arange(size)
             rows, cols = rank[rows], rank[cols]
         # CSC: by column, then by row.  The keys are unique, and the stable
-        # sort (timsort) runs faster on the ascending runs each slot gives.
+        # sort (timsort) runs faster on the ascending runs each block gives.
         order = np.argsort(cols.astype(np.int64) * size + rows, kind="stable")
         self.indices = rows[order]
         self.indptr = np.zeros(size + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=size), out=self.indptr[1:])
         del rows, cols                  # before take and y are built (lower peak memory)
-        self.take = np.concatenate([(s * m + i + np.arange(k)[:, None] * per_slice).ravel(),
-                                    np.full(2 * len(up), k * per_slice)])[order]
-        self.y = 0.0
-        if coupled:
-            Y = func.mc * func.Q
-            self.y = np.concatenate([np.where(col == i, Y.diagonal()[:, None], 0.0).ravel(),
-                                     np.repeat(Y.diagonal(1), m),
-                                     np.repeat(Y.diagonal(-1), m)])[order]
+        at = np.arange(E, dtype=np.int32) * k + np.arange(k, dtype=np.int32)[:, None]  # [j, e]
+        self.take = np.concatenate([at.ravel(), np.full(2 * len(up), E * k, np.int32)])[order]
+        self.y_at, self.y = np.empty(0, np.int32), 0.0
+        if coupled:                  # at each cell's own entry and the two couplings
+            Y, own = func.mc * func.Q, np.flatnonzero(r == c)
+            rank = np.empty(len(order), dtype=np.int32)
+            rank[order] = np.arange(len(order))
+            self.y_at = rank[np.r_[(own + E * np.arange(k)[:, None]).ravel(), k * E:len(order)]]
+            self.y = np.concatenate([np.repeat(Y.diagonal(), len(own)),
+                                     np.repeat(Y.diagonal(1), m), np.repeat(Y.diagonal(-1), m)])
         self.q, self.shape = q, (size, size)
 
-    def gather(self, slots):
-        """The CSC matrix from slots laid out as ``hessian``'s."""
-        data = slots.take(self.take)
-        data += self.y
+    def gather(self, entries):
+        """The CSC matrix from block entries laid out as ``hessian``'s."""
+        data = entries.take(self.take)
+        data[self.y_at] += self.y
         return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
@@ -311,8 +314,8 @@ class _Layout:
 _SPD = dict(diag_pivot_thresh=0.0, panel_size=1, options=dict(SymmetricMode=True))
 
 
-def _lu_direction(func, slots, rhs):
-    """Solve H d = rhs, H from ``hessian``'s slots, by one SPD-mode sparse LU.
+def _lu_direction(func, entries, rhs):
+    """Solve H d = rhs, H from ``hessian``'s entries, by one SPD-mode sparse LU.
 
     The first successful LU of a solve orders H by minimum degree on H + H^T
     and keeps q = argsort(perm_c); later LUs factor H assembled in order q,
@@ -321,11 +324,11 @@ def _lu_direction(func, slots, rhs):
     Raises RuntimeError when SuperLU does.
     """
     if func.lu_order is None:
-        lu = spla.splu(func.assemble(slots), permc_spec="MMD_AT_PLUS_A", **_SPD)
+        lu = spla.splu(func.assemble(entries), permc_spec="MMD_AT_PLUS_A", **_SPD)
         func.lu_order = _Layout(func, func.k, True, np.argsort(lu.perm_c))
         return lu.solve(rhs)
     q = func.lu_order.q
-    lu = spla.splu(func.lu_order.gather(slots), permc_spec="NATURAL", **_SPD)
+    lu = spla.splu(func.lu_order.gather(entries), permc_spec="NATURAL", **_SPD)
     d = np.empty_like(rhs)
     d[q] = lu.solve(rhs[q])
     return d
@@ -402,24 +405,24 @@ def _newton_direction(func, z, g, counters, modes=None, rtol=1e-12,
     ``counters`` gains the CG iterations, the sparse LUs, and one fallback
     per CG-to-LU switch and per failed LU.
     """
-    slots = func.hessian(z)
+    entries = func.hessian(z)
     rhs = -g.ravel()
     if func.grid.n == 2:
-        H = func.assemble(slots)
+        H = func.assemble(entries)
         if modes is None:
             modes = _ModeFactors()
         d, ok = None, False
         if modes.lus is not None:
             d, ok = _mode_pcg(func, H, rhs, modes, rtol, kept_maxiter, counters)
         if not ok:
-            modes.refactor(func, func.mean_block(slots), counters)
+            modes.refactor(func, func.mean_block(entries), counters)
             d, ok = _mode_pcg(func, H, rhs, modes, rtol, _CG_MAXITER, counters, x0=d)
         if ok:
             return d
         counters["fallbacks"] += 1
     counters["factorizations"] += 1
     try:
-        return _lu_direction(func, slots, rhs)
+        return _lu_direction(func, entries, rhs)
     except RuntimeError:
         counters["fallbacks"] += 1
         return None

@@ -6,9 +6,10 @@ identities, the Hardy-Littlewood and Polya-Szego inequalities, the L^1
 contraction of rearrangement, the exact C^t C = D2 factorization of the
 second-difference matrix, the monotonicity of the flux beta(|g|) g/|g|,
 the np.interp / searchsorted reading of a beta table, the slice
-functional without its y-coupling, slice x-blocks placed by lattice
-geometry, dense Gaussian mollification, and the mass-system sweep with
-cold-started resolvents.
+functional without its y-coupling, one-sided gradients by a loop over
+orientations and axes, slice x-blocks decoded from their entries and
+summed densely from the difference stencils, dense Gaussian
+mollification, and the mass-system sweep with cold-started resolvents.
 Nothing in the pipeline calls them.
 """
 
@@ -201,24 +202,67 @@ def uncoupled(func):
     return func
 
 
-def slot_blocks(grid, slots):
-    """The x-blocks held in stencil slots, one CSC matrix per row of ``slots``.
+def stencil_gradients(grid, values):
+    """Sampled gradients per orientation, shape (2^n, ..., m, n) for values (..., m).
 
-    ``slots`` has shape (k, 3^n m).  Slot (s, i) couples cell i with the
-    cell whose centre lies at offset s*dx from cell i's, where digit d of s
-    in base 3, minus 1, is the offset along axis d.  Each block is placed by
-    that lattice geometry alone; slots that point off the grid must be zero.
+    A loop over orientations and axes: orientation q steps toward -x_k where
+    bit k of q is set and toward +x_k otherwise, and the component is
+    ``scale * (u[other] - u)`` with ``u[-1]`` read as the zero wall value;
+    interior neighbors lie at distance dx and the wall at dx/2.
+    """
+    u = np.asarray(values, dtype=float)
+    out = np.empty((2 ** grid.n,) + u.shape + (grid.n,))
+    for q in range(2 ** grid.n):
+        for k, (minus, plus) in enumerate(grid.neighbors):
+            forward = (q >> k) & 1 == 0
+            other = plus if forward else minus
+            sign = 1.0 if forward else -1.0
+            scale = np.where(other >= 0, sign / grid.dx, sign * 2.0 / grid.dx)
+            uo = np.where(other >= 0, u[..., np.maximum(other, 0)], 0.0)
+            out[q, ..., k] = scale * (uo - u)
+    return out
+
+
+def entry_blocks(grid, rows, cols, entries):
+    """The x-blocks held as block entries, one CSC matrix per column of ``entries``.
+
+    ``entries`` has shape (E + 1, k): entry e of slice j couples cell
+    ``rows[e]`` with cell ``cols[e]`` and sits at ``entries[e, j]``; the
+    last row must be zero.  The entries must be distinct, in CSC order, and
+    couple only cells at most one lattice step apart along each axis.
+    """
+    m = grid.num_cells
+    entries = np.asarray(entries)
+    assert len(rows) == len(cols) == entries.shape[0] - 1
+    assert not entries[-1].any(), "the trailing row is not zero"
+    assert np.all(np.diff(cols.astype(np.int64) * m + rows) > 0), "entries not distinct in CSC order"
+    step = np.abs(grid.centers[rows] - grid.centers[cols])
+    assert np.all(step <= 1.000001 * grid.dx), "an entry couples cells more than one step apart"
+    return [sp.csc_matrix((block, (rows, cols)), shape=(m, m)) for block in entries[:-1].T]
+
+
+def dense_x_blocks(grid, nl, z):
+    """Each slice's x-block as the dense sum_q sum_{k1,k2} D_{q,k1}^T diag(W) D_{q,k2}.
+
+    D_{q,k} comes from ``stencil_gradients`` of the unit vectors, and W from
+    the law at the loop's sampled gradients d of the slices ``z``:
+    W = 2^-n mc (a delta_{k1 k2} + (beta' - a) e_{k1} e_{k2}) at |d|, with
+    the unit gradient e = d/|d| (0 where |d| < 1e-14).
     """
     n, m = grid.n, grid.num_cells
-    lattice = np.rint((grid.centers - grid.centers.min(axis=0)) / grid.dx).astype(int) + 1
-    cell_at = np.full((lattice.max() + 2,) * n, -1)
-    cell_at[tuple(lattice.T)] = np.arange(m)
-    offsets = (np.arange(3 ** n)[:, None] // 3 ** np.arange(n)) % 3 - 1
-    other = np.stack([cell_at[tuple((lattice + o).T)] for o in offsets])   # (3^n, m)
-    slots = np.asarray(slots).reshape(-1, 3 ** n, m)
-    assert not slots[:, other < 0].any(), "a slot points off the grid"
-    s, i = np.nonzero(other >= 0)
-    return [sp.csc_matrix((block[s, i], (i, other[s, i])), shape=(m, m)) for block in slots]
+    D = stencil_gradients(grid, np.eye(m)).transpose(0, 3, 2, 1)      # [q, k, cell, unknown]
+    d = stencil_gradients(grid, z)                                      # [q, slice, cell, k]
+    mag = np.sqrt((d ** 2).sum(axis=-1))
+    a, da = nl.a(mag), nl.dbeta(mag) - nl.a(mag)
+    e = np.where(mag[..., None] < 1e-14, 0.0, d / np.maximum(mag, 1e-300)[..., None])
+    blocks = np.zeros((z.shape[0], m, m))
+    for q in range(2 ** n):
+        for k1 in range(n):
+            for k2 in range(n):
+                W = (a[q] * (k1 == k2) + da[q] * e[q, ..., k1] * e[q, ..., k2]) \
+                    * grid.cell_measure / 2 ** n
+                blocks += np.einsum("ir,ji,ic->jrc", D[q, k1], W, D[q, k2])
+    return blocks
 
 
 def dense_mollify(stack, delta):

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from anisosym import (epsilon_tau_sweep, h_refinement_study, make_interval_grid,
+                      make_p_laplacian)
 from anisosym.cli import main
 from anisosym.config import ConfigError, compile_expression, parse_config
 
@@ -201,6 +203,29 @@ def test_sweep_eps_command(tmp_path):
     sweep = json.loads((tmp_path / "swe" / "sweep.json").read_text())
     assert sweep["passed"] is True
     assert len(sweep["points"]) == 2
+
+
+@pytest.mark.parametrize("param, values", [("eps", ","), ("tau", ""), ("h", "3,7.9"),
+                                           ("h", "0,3"), ("h", "inf")])
+def test_sweep_rejects_empty_or_fractional_values(tmp_path, capsys, param, values):
+    # An empty list would run no point and pass; h = 7.9 would silently solve N = 7.
+    cfg = _write_config(tmp_path, GOOD)
+    out = tmp_path / "bad"
+    code = main(["--out", str(out), "sweep", "--config", cfg, "--param", param,
+                 "--values", values])
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith("config error line 0: --values")
+
+
+def test_sweeps_reject_empty_lists():
+    grid = make_interval_grid(1.0, 8)
+    f_fn = lambda c, y: np.ones(c.shape[0])
+    with pytest.raises(ValueError, match="eps_list"):
+        epsilon_tau_sweep(grid, make_p_laplacian(3), f_fn, eps_list=[], tau_list=[1e-6])
+    with pytest.raises(ValueError, match="tau_list"):
+        epsilon_tau_sweep(grid, make_p_laplacian(3), f_fn, eps_list=[1e-3], tau_list=[])
+    with pytest.raises(ValueError, match="N_list"):
+        h_refinement_study(grid, make_p_laplacian(3), f_fn, [])
 
 
 def test_f_csv_ingestion(tmp_path):

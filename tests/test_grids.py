@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from anisosym import (SliceStack, make_ball_grid, make_disk_grid,
+from anisosym import (SliceStack, cell_gradients, make_ball_grid, make_disk_grid,
                       make_interval_grid, make_radial_grid, make_square_grid,
                       perimeter_factor, sample_slices, symmetrized_grid)
-from oracles import zero_stack
+from oracles import stencil_gradients, zero_stack
 
 
 def test_interval_grid_uniform_cells():
@@ -30,7 +30,13 @@ def test_interval_neighbors_and_boundary():
     minus, plus = g.neighbors[0]
     assert minus[0] == -1 and plus[-1] == -1
     assert plus[0] == 1 and minus[-1] == 4
-    assert g.boundary[0] and g.boundary[-1] and not g.boundary[2]
+    # Rows 0-5 step toward +x and rows 6-11 toward -x.  Only the two rows
+    # that meet the wall hold a single entry, the cell's own, at 2/dx.
+    D = g.difference_operator()
+    assert np.flatnonzero(np.diff(D.indptr) == 1).tolist() == [5, 6]
+    assert D[5, 5] == -2.0 / g.dx and D[6, 0] == 2.0 / g.dx
+    assert D[2, 2] == -1.0 / g.dx and D[2, 3] == 1.0 / g.dx
+    assert D[8, 2] == 1.0 / g.dx and D[8, 1] == -1.0 / g.dx
 
 
 def test_disk_grid_measure_converges():
@@ -51,11 +57,44 @@ def test_disk_grid_rejects_degenerate():
 
 
 def test_disk_interior_cells_have_full_stencils():
+    # A cell centred within radius - 1.5 dx has its four neighbours' centres
+    # within radius - dx/2, inside the disk.
     g = make_disk_grid(1.0, 32)
-    interior = ~g.boundary
+    interior = np.sqrt((g.centers ** 2).sum(axis=1)) < 1.0 - 1.5 * g.dx
+    assert 0.75 * g.num_cells < np.count_nonzero(interior) < g.num_cells
     for minus, plus in g.neighbors:
         assert np.all(minus[interior] >= 0)
         assert np.all(plus[interior] >= 0)
+
+
+DIFFERENCE_GRIDS = {"interval": lambda: make_interval_grid(1.3, 10),
+                    "square": lambda: make_square_grid(1.3, 6),
+                    "disk": lambda: make_disk_grid(1.0, 12),
+                    "ball": lambda: make_ball_grid(2, 1.3, 40)}
+
+
+@pytest.mark.parametrize("kind", sorted(DIFFERENCE_GRIDS))
+def test_difference_operator_is_the_stencil_loop(kind):
+    # Row (q n + k) m + i of D is the loop's component k at cell i in
+    # orientation q, read off the unit vectors; wall rows included.
+    g = DIFFERENCE_GRIDS[kind]()
+    m = g.num_cells
+    D = g.difference_operator()
+    assert D is g.difference_operator() and D.shape == (2 ** g.n * g.n * m, m)
+    loop = stencil_gradients(g, np.eye(m))                 # [q, unknown, cell, k]
+    assert np.array_equal(D.toarray(), loop.transpose(0, 3, 2, 1).reshape(-1, m))
+    assert np.any(np.diff(D.indptr) == 1)                  # the grid meets the wall
+
+
+@pytest.mark.parametrize("grid", [make_interval_grid(1.0, 64), make_square_grid(1.0, 32),
+                                  make_ball_grid(2, 1.0, 1024)],
+                         ids=["interval", "square", "ball"])
+def test_sampled_gradients_are_bitwise_the_stencil_loop(grid):
+    # With dx a power of two, D's entries scale exactly, so D @ z rounds
+    # like the loop's scale * (u[other] - u).
+    z = np.random.default_rng(3).uniform(-1.0, 1.0, (3, grid.num_cells))
+    assert np.array_equal(cell_gradients(grid, z), stencil_gradients(grid, z))
+    assert np.array_equal(cell_gradients(grid, z[1]), stencil_gradients(grid, z[1]))
 
 
 def test_perimeter_factor_values():
