@@ -104,9 +104,9 @@ def cell_gradients(grid, values):
     functionals of |grad u|.
     """
     u = np.asarray(values, dtype=float)
-    n, m = grid.n, grid.num_cells
-    d = grid.difference_operator() @ u.reshape(-1, m).T
-    return np.moveaxis(d.reshape((2 ** n, n, m) + u.shape[:-1]), (1, 2), (-1, -2))
+    n, m, lead = grid.n, grid.num_cells, u.shape[:-1]
+    d = (grid.difference_operator() @ u.reshape(-1, m).T).reshape((2 ** n, n, m) + lead)
+    return d.transpose((0, *range(3, 3 + len(lead)), 2, 1))
 
 
 def gradient_functional(grid, values, func):

@@ -11,15 +11,14 @@ whose Euler-Lagrange equations are the sliced problem
 
     -div_x(a(|grad_x u_j|) grad_x u_j) - (u_{j+1} - 2u_j + u_{j-1})/h^2 = f_j.
 
-The x-part averages the one-sided differences of the grid's difference
-operator D over orientations (for n = 1 this is exactly P1 finite elements
-on the cell centers plus wall nodes; for n = 2 and p = 2 it reduces to the
-5-point scheme).  Sampling is D z (``grids.cell_gradients``), the gradient
-D^T(a d), and the x-blocks P @ W for a scatter P built from D
-(``_block_scatter``).  All slices are evaluated in one pass, and each
-iterate is sampled once: the line search's energy, the gradient and the
-Hessian share the kept sample.  One functional serves a solve; its warm
-start and eps stages only change the law.  So the CSC layout of each
+The x-part averages over orientations the one-sided differences of the
+grid's difference operator D (for n = 1 exactly P1 finite elements on the
+cell centers plus wall nodes; for n = 2 and p = 2 the 5-point scheme).
+Sampling is D z (``grids.cell_gradients``), the gradient D^T(a d), and the
+x-blocks P @ W (``_block_scatter``).  All slices are evaluated in one pass,
+and each iterate is sampled once: the line search's energy, the gradient
+and the Hessian share the kept sample.  One functional serves a solve; its
+warm start and eps stages only change the law.  So the CSC layout of each
 matrix it assembles (``_Layout``), the same for every Newton step, is
 built once per solve, and each Hessian is gathered straight into it.
 Minimization is by damped Newton with Armijo backtracking; the Hessian is
@@ -200,7 +199,7 @@ class _StackFunctional:
         kept = self._kept
         if kept is None or kept[1] is not self.nl or not np.array_equal(kept[0], z):
             self._kept = None                    # free the old sample first
-            d = np.moveaxis(cell_gradients(self.grid, z), (-1, -2), (1, 2))
+            d = cell_gradients(self.grid, z).transpose(0, 3, 2, 1)
             kept = (np.array(z, dtype=float), self.nl, d, np.sqrt((d ** 2).sum(axis=1)), None)
         if with_a and kept[4] is None:
             kept = kept[:4] + (self.nl.a(kept[3]),)
@@ -290,12 +289,13 @@ class _Layout:
         self.indptr = np.zeros(size + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=size), out=self.indptr[1:])
         del rows, cols                  # before take and y are built (lower peak memory)
-        at = np.arange(E, dtype=np.int32) * k + np.arange(k, dtype=np.int32)[:, None]  # [j, e]
-        self.take = np.concatenate([at.ravel(), np.full(2 * len(up), E * k, np.int32)])[order]
-        self.y_at, self.y = np.empty(0, np.int32), 0.0
+        # intp: numpy converts other index types on every take (churning heap pages)
+        at = np.arange(E) * k + np.arange(k)[:, None]             # [j, e]: entry e of slice j
+        self.take = np.concatenate([at.ravel(), np.full(2 * len(up), E * k)])[order]
+        self.y_at, self.y = np.empty(0, np.intp), 0.0
         if coupled:                  # at each cell's own entry and the two couplings
             Y, own = func.mc * func.Q, np.flatnonzero(r == c)
-            rank = np.empty(len(order), dtype=np.int32)
+            rank = np.empty_like(order)
             rank[order] = np.arange(len(order))
             self.y_at = rank[np.r_[(own + E * np.arange(k)[:, None]).ravel(), k * E:len(order)]]
             self.y = np.concatenate([np.repeat(Y.diagonal(), len(own)),

@@ -235,7 +235,7 @@ def entry_blocks(grid, rows, cols, entries):
     entries = np.asarray(entries)
     assert len(rows) == len(cols) == entries.shape[0] - 1
     assert not entries[-1].any(), "the trailing row is not zero"
-    assert np.all(np.diff(cols.astype(np.int64) * m + rows) > 0), "entries not distinct in CSC order"
+    assert np.all(np.diff(cols.astype(np.int64) * m + rows) > 0), "not distinct in CSC order"
     step = np.abs(grid.centers[rows] - grid.centers[cols])
     assert np.all(step <= 1.000001 * grid.dx), "an entry couples cells more than one step apart"
     return [sp.csc_matrix((block, (rows, cols)), shape=(m, m)) for block in entries[:-1].T]
