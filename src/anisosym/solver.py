@@ -185,7 +185,7 @@ class _StackFunctional:
         self.weight = 1.0 / 2 ** grid.n
         D = grid.difference_operator()
         self.DT = D.T                                   # a CSC view, for the gradient
-        self.P, self.pairs, *self.entries = _block_scatter(D, grid.n, self.m)
+        self.P, self.pairs, *self.entry_cells = _block_scatter(D, grid.n, self.m)
         self._kept = self.natural = self.lu_order = self._mean = None
 
     def _sample(self, z, with_a=False):
@@ -272,7 +272,7 @@ class _Layout:
 
     def __init__(self, func, k, coupled, q=None):
         m, size = func.m, k * func.m
-        r, c = func.entries                      # block entry e couples cell r[e] with c[e]
+        r, c = func.entry_cells                  # block entry e couples cell r[e] with c[e]
         E = len(r)
         first = np.arange(k, dtype=np.int32)[:, None] * m       # slice j's first row
         up = np.arange((k - 1) * m if coupled else 0, dtype=np.int32)  # cell (j, i) to (j + 1, i)

@@ -735,7 +735,7 @@ def test_hessian_gather_is_bitwise_the_permuted_sum(kind):
     z = rng.uniform(0.0, 0.3, (k, grid.num_cells))
     z[1, :5] = 0.0                       # some zero gradients
     entries = func.hessian(z)
-    blocks = entry_blocks(grid, *func.entries, entries)
+    blocks = entry_blocks(grid, *func.entry_cells, entries)
     ref = sp.block_diag(blocks, "csc") + func.mc * sp.kron(func.Q, sp.eye(func.m), format="csc")
     H = func.assemble(entries)
     assert H.has_sorted_indices and np.array_equal(H.toarray(), ref.toarray())
@@ -761,7 +761,7 @@ def test_x_blocks_are_the_dense_difference_sum(kind, p):
     func = solver._StackFunctional(grid, law, np.zeros((k, grid.num_cells)), 0.25)
     z = rng.uniform(0.0, 0.3, (k, grid.num_cells))
     z[1, :5] = 0.0                       # some zero gradients
-    blocks = entry_blocks(grid, *func.entries, func.hessian(z))
+    blocks = entry_blocks(grid, *func.entry_cells, func.hessian(z))
     for block, dense in zip(blocks, dense_x_blocks(grid, law, z)):
         assert np.linalg.norm(block.toarray() - dense) <= 1e-15 * np.linalg.norm(dense)
 
