@@ -20,10 +20,10 @@ import scipy
 
 from . import __version__
 from .compare import (ComparisonError, PipelineError, epsilon_tau_sweep,
-                      h_refinement_study, solvable_law, verify_lq_consequence,
-                      verify_mass_comparison)
+                      h_refinement_study, sample_data, solvable_law,
+                      verify_lq_consequence, verify_mass_comparison)
 from .config import ConfigError, parse_config
-from .grids import make_radial_grid, sample_slices
+from .grids import make_radial_grid
 from .mass_ode import (MassOperator, mass_functions_from_stack,
                        subsolution_slack, t_accretivity_check)
 from .solver import DiscreteProblem, SolverError, solve_stack
@@ -69,18 +69,21 @@ def _manifest(cfg, args, subcommand):
     return RunManifest(subcommand, digest, seed, _versions())
 
 
-def _law_for(cfg):
-    return solvable_law(cfg.build_nonlinearity(), cfg["regularization.eps"],
-                        cfg["regularization.tau"])
+def _problem(cfg):
+    """The config's one problem: grid, law, data function, verify keywords."""
+    kw = dict(N=cfg["slices.N"], M=cfg["sgrid.M"], grading=cfg["sgrid.grading"],
+              eps=cfg["regularization.eps"], tau=cfg["regularization.tau"],
+              slack_c=cfg["slack_c"], tol=cfg["tol"], radial_tol=cfg["radial_tol"],
+              mollify=cfg["f.mollify"])
+    return cfg.build_grid(), cfg.build_nonlinearity(), cfg.data_function(), kw
 
 
 def _cmd_solve(cfg, args, out_dir, manifest):
-    grid = cfg.build_grid()
-    nl = _law_for(cfg)
-    f = sample_slices(grid, cfg["slices.N"], cfg.data_function())
+    grid, nl, f_fn, kw = _problem(cfg)
+    law = solvable_law(nl, kw["eps"], kw["tau"])
+    f = sample_data(grid, kw["N"], f_fn, kw["mollify"])
     t0 = time.perf_counter()
-    sol = solve_stack(DiscreteProblem(grid, nl, f), tol=cfg["tol"],
-                      max_iter=cfg["max_iter"])
+    sol = solve_stack(DiscreteProblem(grid, law, f), kw["tol"])
     manifest.wall_clock["solve"] = time.perf_counter() - t0
     sol_path = os.path.join(out_dir, "solution.csv")
     with open(sol_path, "w") as fh:
@@ -96,25 +99,23 @@ def _cmd_solve(cfg, args, out_dir, manifest):
     return 0
 
 
-def _cmd_star_check(cfg, args, out_dir, manifest, seed):
-    grid = cfg.build_grid()
-    nl = _law_for(cfg)
-    s_grid = make_radial_grid(grid.n, grid.total_measure, cfg["sgrid.M"],
-                              cfg["sgrid.grading"])
-    op = MassOperator(s_grid, nl)
+def _cmd_star_check(cfg, args, out_dir, manifest):
+    grid, nl, f_fn, kw = _problem(cfg)
+    law = solvable_law(nl, kw["eps"], kw["tau"])
+    s_grid = make_radial_grid(grid.n, grid.total_measure, kw["M"], kw["grading"])
+    op = MassOperator(s_grid, law)
     t0 = time.perf_counter()
     rep = t_accretivity_check(op, trials=cfg["trials"], lambdas=cfg["lambdas"],
-                              rng=np.random.default_rng(seed))
+                              rng=np.random.default_rng(manifest.seed))
     manifest.wall_clock["accretivity"] = time.perf_counter() - t0
     acc_path = os.path.join(out_dir, "accretivity.json")
     payload = rep.to_dict()
-    payload.update({"n": grid.n, "law": nl.name, "seed": seed})
+    payload.update({"n": grid.n, "law": law.name, "seed": manifest.seed})
     _write_json(acc_path, payload)
 
     t0 = time.perf_counter()
-    f = sample_slices(grid, cfg["slices.N"], cfg.data_function())
-    sol = solve_stack(DiscreteProblem(grid, nl, f), tol=cfg["tol"],
-                      max_iter=cfg["max_iter"])
+    f = sample_data(grid, kw["N"], f_fn, kw["mollify"])
+    sol = solve_stack(DiscreteProblem(grid, law, f), kw["tol"])
     slack = subsolution_slack(mass_functions_from_stack(sol.stack, s_grid),
                               mass_functions_from_stack(f, s_grid)[1:-1], op, f.h)
     manifest.wall_clock["subsolution"] = time.perf_counter() - t0
@@ -129,14 +130,8 @@ def _cmd_star_check(cfg, args, out_dir, manifest, seed):
 
 
 def _cmd_compare(cfg, args, out_dir, manifest):
-    grid = cfg.build_grid()
-    nl = cfg.build_nonlinearity()
-    rep = verify_mass_comparison(
-        grid, nl, f_fn=cfg.data_function(), N=cfg["slices.N"], M=cfg["sgrid.M"],
-        grading=cfg["sgrid.grading"],
-        eps=cfg["regularization.eps"], tau=cfg["regularization.tau"],
-        slack_c=cfg["slack_c"], tol=cfg["tol"], radial_tol=cfg["radial_tol"],
-        mollify=cfg["f.mollify"])
+    grid, nl, f_fn, kw = _problem(cfg)
+    rep = verify_mass_comparison(grid, nl, f_fn=f_fn, **kw)
     manifest.wall_clock.update(rep.timings)
     csv_path = os.path.join(out_dir, "comparison.csv")
     rep.write_csv(csv_path)
@@ -156,23 +151,14 @@ def _cmd_compare(cfg, args, out_dir, manifest):
 
 
 def _cmd_sweep(cfg, args, out_dir, manifest):
-    grid = cfg.build_grid()
-    nl = cfg.build_nonlinearity()
-    f_fn = cfg.data_function()
-    common = dict(M=cfg["sgrid.M"], slack_c=cfg["slack_c"], tol=cfg["tol"])
+    grid, nl, f_fn, kw = _problem(cfg)
     t0 = time.perf_counter()
-    if args.param == "eps":
-        rep = epsilon_tau_sweep(grid, nl, f_fn, eps_list=args.values,
-                                tau_list=[cfg["regularization.tau"]],
-                                N=cfg["slices.N"], **common)
-    elif args.param == "tau":
-        rep = epsilon_tau_sweep(grid, nl, f_fn, eps_list=[cfg["regularization.eps"]],
-                                tau_list=args.values, N=cfg["slices.N"], **common)
+    if args.param == "h":
+        del kw["N"]
+        rep = h_refinement_study(grid, nl, f_fn, [int(v) for v in args.values], **kw)
     else:
-        N_list = [int(v) for v in args.values]
-        rep = h_refinement_study(grid, nl, f_fn, N_list,
-                                 eps=cfg["regularization.eps"],
-                                 tau=cfg["regularization.tau"], **common)
+        lists = {"eps": [kw.pop("eps")], "tau": [kw.pop("tau")], args.param: args.values}
+        rep = epsilon_tau_sweep(grid, nl, f_fn, lists["eps"], lists["tau"], **kw)
     manifest.wall_clock["sweep"] = time.perf_counter() - t0
     sweep_path = os.path.join(out_dir, "sweep.json")
     _write_json(sweep_path, rep.to_dict())
@@ -239,14 +225,13 @@ def main(argv=None):
     out_dir = args.out or cfg["dir"]
     os.makedirs(out_dir, exist_ok=True)
     manifest = _manifest(cfg, args, args.command)
-    seed = manifest.seed
 
     try:
         t0 = time.perf_counter()
         if args.command == "solve":
             code = _cmd_solve(cfg, args, out_dir, manifest)
         elif args.command == "star-check":
-            code = _cmd_star_check(cfg, args, out_dir, manifest, seed)
+            code = _cmd_star_check(cfg, args, out_dir, manifest)
         elif args.command == "compare":
             code = _cmd_compare(cfg, args, out_dir, manifest)
         else:

@@ -112,6 +112,14 @@ def solvable_law(nl, eps, tau, always_regularize=False):
     return nl
 
 
+def sample_data(grid, N, f_fn, mollify=0.0):
+    """The pipeline's data stack: f_fn sampled on N slices, checked, mollified."""
+    stack = sample_slices(grid, N, f_fn)
+    if np.any(stack.values < 0.0):
+        raise ValueError("data must be nonnegative")
+    return mollify_stack(stack, mollify)
+
+
 def verify_mass_comparison(grid, nl, f_fn, N=7, M=64, grading="auto",
                            eps=1e-6, tau=1e-6, slack_c=10.0, tol=1e-9,
                            radial_tol=1e-8, always_regularize=False,
@@ -127,16 +135,7 @@ def verify_mass_comparison(grid, nl, f_fn, N=7, M=64, grading="auto",
     beta, which it has.
     """
     timings = {}
-
-    def build_data():
-        stack = sample_slices(grid, N, f_fn)
-        if np.any(stack.values < 0.0):
-            raise ValueError("data must be nonnegative")
-        if mollify > 0.0:
-            stack = mollify_stack(stack, mollify)
-        return stack
-
-    f = _stage("data", build_data, timings)
+    f = _stage("data", lambda: sample_data(grid, N, f_fn, mollify), timings)
     h = f.h
     N = f.num_interior
     law = _stage("nonlinearity",
@@ -260,14 +259,14 @@ class SweepReport:
                 "passed": self.passed}
 
 
-def epsilon_tau_sweep(grid, nl, f_fn, eps_list, tau_list, N=7, M=64,
-                      slack_c=10.0, tol=1e-9, **kw):
+def epsilon_tau_sweep(grid, nl, f_fn, eps_list, tau_list, **kw):
     """Solve across the regularization grid and check the approximation laws.
 
     At fixed tau the minimal energies must not decrease as eps shrinks
     (the smoothed density grows monotonically toward the true one) and the
     solutions must look Cauchy in L^1; the mass comparison must pass at
-    every point.  Failed solves are recorded, not fatal.
+    every point.  Failed solves are recorded, not fatal.  Every other
+    keyword goes to ``verify_mass_comparison``.
     """
     if not eps_list or not tau_list:
         raise ValueError("eps_list and tau_list must each hold at least one value")
@@ -276,9 +275,8 @@ def epsilon_tau_sweep(grid, nl, f_fn, eps_list, tau_list, N=7, M=64,
 
     def run(t, e):
         try:
-            rep = verify_mass_comparison(grid, nl, f_fn=f_fn, N=N, M=M,
-                                         eps=e, tau=t, slack_c=slack_c,
-                                         tol=tol, always_regularize=True, **kw)
+            rep = verify_mass_comparison(grid, nl, f_fn=f_fn, eps=e, tau=t,
+                                         always_regularize=True, **kw)
             return {"eps": e, "tau": t, "worst_gap": rep.worst_gap,
                     "passed": rep.passed, "energy": rep.u_energy,
                     "stack": rep.u_stack, "error": None}
@@ -305,18 +303,18 @@ def epsilon_tau_sweep(grid, nl, f_fn, eps_list, tau_list, N=7, M=64,
     return SweepReport("eps-tau", points, checks)
 
 
-def h_refinement_study(grid, nl, f_fn, N_list, M=64, slack_c=10.0, tol=1e-9, **kw):
+def h_refinement_study(grid, nl, f_fn, N_list, **kw):
     """Refine the slice count: self-convergence in L^1 and bounded energy.
 
     Interpolated solutions at successive N are compared exactly in y; the
     L^1 differences must decrease, the discrete H^1 norms stay bounded, and
-    the comparison deficiency must not grow under refinement.
+    the comparison deficiency must not grow under refinement.  Every other
+    keyword goes to ``verify_mass_comparison``.
     """
     if not N_list or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("N_list must be non-empty and increase")
 
-    results = [(N, verify_mass_comparison(grid, nl, f_fn=f_fn, N=N, M=M,
-                                          slack_c=slack_c, tol=tol, **kw))
+    results = [(N, verify_mass_comparison(grid, nl, f_fn=f_fn, N=N, **kw))
                for N in N_list]
     interps = [y_interpolant(rep.u_stack) for _, rep in results]
     h1 = [it.h1_norm_sq() ** 0.5 for it in interps]

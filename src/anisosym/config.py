@@ -123,7 +123,6 @@ _SCHEMA = {
     ("problem", "f.csv"): (str, None, "path to gridded data (j,cell,value)", None),
     ("problem", "f.mollify"): (float, lambda v: v >= 0.0, ">= 0", 0.0),
     ("solver", "tol"): (float, lambda v: v > 0.0, "> 0", 1e-9),
-    ("solver", "max_iter"): (int, lambda v: v >= 1, ">= 1", 500),
     ("solver", "regularization.eps"): (float, lambda v: v > 0.0, "> 0", 1e-6),
     ("solver", "regularization.tau"): (float, lambda v: v >= 0.0, ">= 0", 1e-6),
     ("verify", "slack_c"): (float, lambda v: v > 0.0, "> 0", 10.0),
@@ -186,10 +185,13 @@ class ExperimentConfig:
 
         def fn(centers, y):
             j = int(round(y / h))
-            row = rows.get(j)
-            if row is None or len(row) != centers.shape[0]:
-                raise ValueError(f"f.csv does not cover slice {j} on this grid")
-            return np.array([row[i] for i in range(centers.shape[0])])
+            row = rows.get(j, {})
+            cells = range(centers.shape[0])
+            missing = [i for i in cells if i not in row]
+            if missing or len(row) != len(cells):
+                where = f"cell {missing[0]} of " if missing else ""
+                raise ValueError(f"f.csv does not cover {where}slice {j} on this grid")
+            return np.array([row[i] for i in cells])
 
         return fn
 
@@ -249,6 +251,9 @@ def parse_config(text, base_dir="."):
         errors.append((where, "set only one of f.expr and f.csv"))
     if values["f.expr"] is None and values["f.csv"] is None:
         errors.append((0, "one of f.expr or f.csv is required"))
+    if values["omega1.kind"] == "disk" and values["omega1.resolution"] < 8:
+        errors.append((seen.get(("problem", "omega1.resolution"), 0),
+                       "omega1.kind = disk needs omega1.resolution >= 8"))
     if values["nl.kind"] == "table" and values["nl.table"] is None:
         errors.append((0, "nl.kind = table requires nl.table"))
     for key in ("nl.table", "f.csv"):

@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from anisosym import (epsilon_tau_sweep, h_refinement_study, make_interval_grid,
-                      make_p_laplacian)
+                      make_p_laplacian, verify_mass_comparison)
 from anisosym.cli import main
 from anisosym.config import ConfigError, compile_expression, parse_config
 
@@ -35,7 +36,7 @@ def test_parse_minimal_config():
     cfg = parse_config(GOOD)
     assert cfg["nl.p"] == 3.0
     assert cfg["omega1.resolution"] == 48
-    assert cfg["max_iter"] == 500            # default fills in
+    assert cfg["radial_tol"] == 1e-8         # default fills in
     grid = cfg.build_grid()
     assert grid.num_cells == 48
     nl = cfg.build_nonlinearity()
@@ -70,6 +71,26 @@ def test_unknown_key_and_wrong_section():
     msgs = " | ".join(m for _, m in err.value.errors)
     assert "does not belong in section" in msgs
     assert "unknown key" in msgs
+
+
+def test_max_iter_is_not_a_key():
+    bad = GOOD.replace("tol = 1e-9", "tol = 1e-9\nmax_iter = 500")
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad)
+    (line, msg), = err.value.errors
+    assert "unknown key 'max_iter'" in msg
+    assert bad.splitlines()[line - 1].strip() == "max_iter = 500"
+
+
+def test_coarse_disk_is_config_error(tmp_path, capsys):
+    text = GOOD.replace("omega1.kind = interval", "omega1.kind = disk")
+    text = text.replace("omega1.resolution = 48", "omega1.resolution = 6")
+    cfg = _write_config(tmp_path, text)
+    assert main(["--out", str(tmp_path / "disk"), "compare", "--config", cfg]) == 2
+    err = capsys.readouterr().err.strip()
+    line = int(err.split("config error line ")[1].split(":")[0])
+    assert text.splitlines()[line - 1].strip() == "omega1.resolution = 6"
+    assert "disk" in err and ">= 8" in err
 
 
 def test_all_errors_collected_not_first_only():
@@ -251,3 +272,82 @@ def test_f_csv_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(text, base_dir=str(tmp_path))
     assert any("not found" in m for _, m in err.value.errors)
+
+
+def test_f_csv_missing_cell_is_a_stage_failure(tmp_path, capsys):
+    # Cells numbered 1..8 instead of 0..7: cell 0 is missing on every slice.
+    rows = ["j,cell,value"] + [f"{j},{cell},0.5" for j in range(1, 4) for cell in range(1, 9)]
+    (tmp_path / "data.csv").write_text("\n".join(rows) + "\n")
+    text = GOOD.replace("f.expr = exp(-60*(x-0.3)**2) * (1 + 0.5*sin(pi*y))",
+                        "f.csv = data.csv")
+    text = text.replace("omega1.resolution = 48", "omega1.resolution = 8")
+    cfg = _write_config(tmp_path, text.replace("slices.N = 5", "slices.N = 3"))
+    for command in ("solve", "compare"):
+        assert main(["--out", str(tmp_path / command), command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "f.csv does not cover cell 0 of slice 1 on this grid" in err
+
+
+# One small problem that sets every key the subcommands could drop.
+CONSISTENT = """
+[problem]
+nl.kind = p_laplacian
+nl.p = 3
+omega1.kind = square
+omega1.size = 1.0
+omega1.resolution = 8
+slices.N = 3
+sgrid.M = 8
+sgrid.grading = uniform
+f.expr = exp(-8*((x1-0.7)**2 + (x2-0.4)**2)) * (1 + 0.5*sin(pi*y))
+f.mollify = 0.05
+
+[solver]
+tol = 1e-9
+regularization.eps = 1e-6
+"""
+
+
+@pytest.fixture(scope="module")
+def consistent(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("consistent")
+    cfg = _write_config(tmp, CONSISTENT)
+    assert main(["--out", str(tmp / "compare"), "compare", "--config", cfg]) == 0
+    return tmp, cfg
+
+
+def test_sweep_eps_at_config_eps_matches_compare(consistent):
+    tmp, cfg = consistent
+    out = tmp / "sweep-eps"
+    assert main(["--out", str(out), "sweep", "--config", cfg, "--param",
+                 "eps", "--values", "1e-6"]) == 0
+    point, = json.loads((out / "sweep.json").read_text())["points"]
+    report = json.loads((tmp / "compare" / "report.json").read_text())
+    assert point["worst_gap"] == report["worst_gap"]
+
+
+def test_sweep_h_at_config_N_matches_compare(consistent):
+    tmp, cfg = consistent
+    out = tmp / "sweep-h"
+    assert main(["--out", str(out), "sweep", "--config", cfg, "--param",
+                 "h", "--values", "3"]) == 0
+    assert ((out / "comparison_N3.csv").read_bytes()
+            == (tmp / "compare" / "comparison.csv").read_bytes())
+
+
+def test_solve_matches_the_comparison_u(consistent):
+    tmp, cfg = consistent
+    assert main(["--out", str(tmp / "solve"), "solve", "--config", cfg]) == 0
+    u = [line.rsplit(",", 1)[1]
+         for line in (tmp / "solve" / "solution.csv").read_text().splitlines()[1:]]
+    conf = parse_config(CONSISTENT)
+    rep = verify_mass_comparison(conf.build_grid(), conf.build_nonlinearity(),
+                                 conf.data_function(), N=3, M=8, grading="uniform",
+                                 mollify=0.05)
+    assert u == [f"{v:.17g}" for v in rep.u_stack.values.ravel()]
+
+
+def test_readme_example_config_runs(tmp_path):
+    example = Path(__file__).resolve().parent.parent / "examples.cfg"
+    assert main(["--out", str(tmp_path), "compare", "--config", str(example)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["passed"] is True
