@@ -10,17 +10,16 @@ original solution sit below those of the symmetrized problem.
 __version__ = "0.1.0"
 
 from .grids import (CellGrid, RadialGrid, SliceStack, cell_gradients,
-                    gradient_functional, make_ball_grid, make_disk_grid,
-                    make_interval_grid, make_radial_grid, make_square_grid,
-                    perimeter_factor, sample_slices, symmetrized_grid)
+                    make_ball_grid, make_disk_grid, make_interval_grid,
+                    make_radial_grid, make_square_grid, perimeter_factor,
+                    sample_slices, symmetrized_grid)
 from .nonlinearity import (Nonlinearity, RegularizedNonlinearity,
                            ValidationReport, from_beta_table,
                            hypothesis_samples, make_p_laplacian,
                            moreau_yosida, shifted_p, validate_hypotheses)
 from .rearrange import ScalarField, schwarz_rearrangement, steiner_rearrangement
 from .solver import (DiscreteProblem, DiscreteSolution, SolverError,
-                     YInterpolant, radial_order_violation, solve_stack,
-                     solve_symmetrized, y_interpolant)
+                     radial_order_violation, solve_stack, solve_symmetrized)
 from .mass_ode import (AccretivityReport, MassOperator, ResolventError,
                        mass_functions_from_stack, random_mass_functions,
                        solve_mass_system, subsolution_slack,

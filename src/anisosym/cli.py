@@ -19,10 +19,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .compare import (ComparisonError, PipelineError, epsilon_tau_sweep,
+from .compare import (ComparisonError, PipelineError, _stage, epsilon_tau_sweep,
                       h_refinement_study, sample_data, solvable_law,
                       verify_lq_consequence, verify_mass_comparison)
-from .config import ConfigError, parse_config
+from .config import _SCHEMA, ConfigError, parse_config
 from .grids import make_radial_grid
 from .mass_ode import (MassOperator, mass_functions_from_stack,
                        subsolution_slack, t_accretivity_check)
@@ -73,15 +73,15 @@ def _problem(cfg):
     """The config's one problem: grid, law, data function, verify keywords."""
     kw = dict(N=cfg["slices.N"], M=cfg["sgrid.M"], grading=cfg["sgrid.grading"],
               eps=cfg["regularization.eps"], tau=cfg["regularization.tau"],
-              slack_c=cfg["slack_c"], tol=cfg["tol"], radial_tol=cfg["radial_tol"],
-              mollify=cfg["f.mollify"])
+              slack_c=cfg["slack_c"], tol=cfg["tol"], mollify=cfg["f.mollify"])
     return cfg.build_grid(), cfg.build_nonlinearity(), cfg.data_function(), kw
 
 
 def _cmd_solve(cfg, args, out_dir, manifest):
     grid, nl, f_fn, kw = _problem(cfg)
     law = solvable_law(nl, kw["eps"], kw["tau"])
-    f = sample_data(grid, kw["N"], f_fn, kw["mollify"])
+    f = _stage("data", lambda: sample_data(grid, kw["N"], f_fn, kw["mollify"]),
+               manifest.wall_clock)
     t0 = time.perf_counter()
     sol = solve_stack(DiscreteProblem(grid, law, f), kw["tol"])
     manifest.wall_clock["solve"] = time.perf_counter() - t0
@@ -113,8 +113,9 @@ def _cmd_star_check(cfg, args, out_dir, manifest):
     payload.update({"n": grid.n, "law": law.name, "seed": manifest.seed})
     _write_json(acc_path, payload)
 
+    f = _stage("data", lambda: sample_data(grid, kw["N"], f_fn, kw["mollify"]),
+               manifest.wall_clock)
     t0 = time.perf_counter()
-    f = sample_data(grid, kw["N"], f_fn, kw["mollify"])
     sol = solve_stack(DiscreteProblem(grid, law, f), kw["tol"])
     slack = subsolution_slack(mass_functions_from_stack(sol.stack, s_grid),
                               mass_functions_from_stack(f, s_grid)[1:-1], op, f.h)
@@ -221,6 +222,12 @@ def main(argv=None):
             print("config error line 0: --values must list at least one value, and slice "
                   "counts (integers >= 1) for h", file=sys.stderr)
             return 2
+        if args.param != "h":           # the config key's own range
+            _, valid, desc, _ = _SCHEMA[("solver", f"regularization.{args.param}")]
+            if not all(valid(v) for v in args.values):
+                print(f"config error line 0: --values for {args.param} out of range: "
+                      f"expected {desc}", file=sys.stderr)
+                return 2
 
     out_dir = args.out or cfg["dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -238,8 +245,9 @@ def main(argv=None):
             code = _cmd_sweep(cfg, args, out_dir, manifest)
         manifest.wall_clock["total"] = time.perf_counter() - t0
     except (PipelineError, SolverError, ValueError) as exc:
-        stage = getattr(exc, "stage", "run")
-        print(f"stage failure [{stage}]: {exc}", file=sys.stderr)
+        stage, message = ((exc.stage, exc.message) if isinstance(exc, PipelineError)
+                          else ("run", exc))
+        print(f"stage failure [{stage}]: {message}", file=sys.stderr)
         return 1
     manifest.artifacts.append(manifest.write(out_dir))
     return code

@@ -23,18 +23,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import (_resolve_grading, make_radial_grid, sample_slices,
-                    symmetrized_grid, SliceStack)
+from .grids import (_resolve_grading, cell_gradients, make_radial_grid,
+                    sample_slices, symmetrized_grid, SliceStack)
 from .mass_ode import MassOperator, mass_functions_from_stack, solve_mass_system
 from .nonlinearity import moreau_yosida
 from .rearrange import steiner_rearrangement
-from .solver import DiscreteProblem, solve_stack, solve_symmetrized, y_interpolant
+from .solver import DiscreteProblem, solve_stack, solve_symmetrized
 
 
 class PipelineError(RuntimeError):
     def __init__(self, stage, message):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage
+        self.stage, self.message = stage, message
 
 
 class ComparisonError(ValueError):
@@ -122,8 +122,7 @@ def sample_data(grid, N, f_fn, mollify=0.0):
 
 def verify_mass_comparison(grid, nl, f_fn, N=7, M=64, grading="auto",
                            eps=1e-6, tau=1e-6, slack_c=10.0, tol=1e-9,
-                           radial_tol=1e-8, always_regularize=False,
-                           mollify=0.0):
+                           always_regularize=False, mollify=0.0):
     """Run the full comparison pipeline and certify the mass ordering.
 
     The data comes as a callable f_fn(centers, y), sampled on N slices.
@@ -148,8 +147,8 @@ def verify_mass_comparison(grid, nl, f_fn, N=7, M=64, grading="auto",
 
     ball, f_star = _stage("symmetrize", symmetrize, timings)
     v_sol = _stage("solve-symmetrized",
-                   lambda: solve_symmetrized(DiscreteProblem(ball, law, f_star),
-                                             tol, radial_tol=radial_tol), timings)
+                   lambda: solve_symmetrized(DiscreteProblem(ball, law, f_star), tol),
+                   timings)
 
     grade = _resolve_grading(grid.n, grading)
     s_grid = make_radial_grid(grid.n, grid.total_measure, M, grade)
@@ -316,9 +315,9 @@ def h_refinement_study(grid, nl, f_fn, N_list, **kw):
 
     results = [(N, verify_mass_comparison(grid, nl, f_fn=f_fn, N=N, **kw))
                for N in N_list]
-    interps = [y_interpolant(rep.u_stack) for _, rep in results]
-    h1 = [it.h1_norm_sq() ** 0.5 for it in interps]
-    diffs = [a.l1_distance(b) for a, b in zip(interps, interps[1:])]
+    stacks = [rep.u_stack for _, rep in results]
+    h1 = [_h1_norm_sq(st) ** 0.5 for st in stacks]
+    diffs = [_l1_distance(a, b) for a, b in zip(stacks, stacks[1:])]
     defic = [rep.deficiency for _, rep in results]
     checks = {
         "l1_self_convergence": all(b < a for a, b in zip(diffs, diffs[1:])),
@@ -332,3 +331,40 @@ def h_refinement_study(grid, nl, f_fn, N_list, **kw):
               for i, (N, rep) in enumerate(results)]
     return SweepReport("h", points, checks, reports=[rep for _, rep in results])
 
+
+def _l1_distance(a, b):
+    """Exact L^1(domain x (0,1)) distance of the y-linear interpolants of two stacks.
+
+    The stacks share the cell grid.  On the merged slab subdivision the
+    difference is linear in y, so each slab integrates in closed form
+    (split at a sign change); the slabs are summed in y order.
+    """
+    def at(stack, ys):                   # the interpolant at heights ys, one row each
+        j = np.minimum(np.floor(ys / stack.h).astype(np.intp), stack.values.shape[0] - 2)
+        theta = ((ys - j * stack.h) / stack.h)[:, None]
+        return (1.0 - theta) * stack.values[j] + theta * stack.values[j + 1]
+
+    cuts = np.union1d(np.arange(a.values.shape[0]) * a.h, np.arange(b.values.shape[0]) * b.h)
+    d = at(a, cuts) - at(b, cuts)
+    d0, d1 = d[:-1], d[1:]
+    seg = np.where(d0 * d1 >= 0.0, 0.5 * (np.abs(d0) + np.abs(d1)),
+                   0.5 * (d0 ** 2 + d1 ** 2) / np.maximum(np.abs(d0) + np.abs(d1), 1e-300))
+    return float(np.cumsum(np.diff(cuts) * seg.sum(axis=1))[-1]) * a.grid.cell_measure
+
+
+def _h1_norm_sq(stack):
+    """Discrete H^1 seminorm squared of a stack's y-linear interpolant.
+
+    The orientation-averaged x-gradient energy is quadratic in y on each
+    slab, so Simpson's rule is exact; the y-derivative is constant per slab.
+    """
+    grid, vals, h = stack.grid, stack.values, stack.h
+
+    def x_energy(rows):
+        sq = (cell_gradients(grid, rows) ** 2).sum(axis=-1)
+        return grid.cell_measure * sq.mean(axis=0).sum(axis=-1)
+
+    ends, mids = x_energy(vals), x_energy(0.5 * (vals[:-1] + vals[1:]))
+    x_part = h / 6.0 * (ends[:-1] + 4.0 * mids + ends[1:])
+    y_part = h * ((np.diff(vals, axis=0) / h) ** 2).sum(axis=1) * grid.cell_measure
+    return float(x_part.sum() + y_part.sum())

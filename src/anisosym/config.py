@@ -128,7 +128,6 @@ _SCHEMA = {
     ("verify", "slack_c"): (float, lambda v: v > 0.0, "> 0", 10.0),
     ("verify", "lq"): (_floats, lambda v: all(q >= 1.0 for q in v),
                        "space-separated q >= 1", (1.0, 2.0)),
-    ("verify", "radial_tol"): (float, lambda v: v > 0.0, "> 0", 1e-8),
     ("verify", "trials"): (int, lambda v: v >= 1, ">= 1", 1000),
     ("verify", "lambdas"): (_floats, lambda v: all(l > 0.0 for l in v),
                             "space-separated > 0", (0.01, 1.0, 100.0)),

@@ -109,13 +109,6 @@ def cell_gradients(grid, values):
     return d.transpose((0, *range(3, 3 + len(lead)), 2, 1))
 
 
-def gradient_functional(grid, values, func):
-    """Integral of func(|grad u|) over the domain, orientation-averaged."""
-    g = cell_gradients(grid, values)
-    mags = np.sqrt((g ** 2).sum(axis=-1))
-    return float(grid.cell_measure * func(mags).mean(axis=0).sum())
-
-
 def make_interval_grid(length, m, centered=False):
     """Uniform 1-D grid of m cells on (0, length), or centered at 0."""
     if length <= 0:

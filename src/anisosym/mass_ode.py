@@ -175,7 +175,7 @@ class AccretivityReport:
                 "tolerance": self.tolerance, "passed": self.passed}
 
 
-def random_mass_functions(op, count, rng, scale=1.0):
+def random_mass_functions(op, count, rng):
     """Random members of the operator domain, batched as (count, M+1).
 
     Profiles are cumulative sums of nonnegative decrements that vanish on
@@ -184,7 +184,7 @@ def random_mass_functions(op, count, rng, scale=1.0):
     at the origin.
     """
     s = op.s_grid.s_nodes
-    dec = rng.exponential(scale=scale, size=(count, len(s)))
+    dec = rng.exponential(size=(count, len(s)))
     dec[:, -2:] = 0.0
     w = np.cumsum(dec[:, ::-1], axis=1)[:, ::-1]
     seg = 0.5 * (w[:, 1:] + w[:, :-1]) * np.diff(s)

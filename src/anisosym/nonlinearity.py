@@ -387,7 +387,7 @@ class RegularizedNonlinearity(Nonlinearity):
 
     ``moreau_yosida`` tabulates beta once on a log grid for the solvers' hot
     loops (interpolation stays monotone, which is all the accretivity and
-    positivity structure needs); ``prox`` and ``envelope`` stay exact.
+    positivity structure needs); ``_prox`` gives the exact envelope.
     """
 
     base: Nonlinearity
@@ -406,14 +406,6 @@ class RegularizedNonlinearity(Nonlinearity):
         if key not in cache:
             cache[key] = moreau_yosida(self.base, eps, self.tau)
         return cache[key]
-
-    def prox(self, t):
-        """Proximal point P_eps(t) and envelope value A_eps(t)."""
-        return _prox(self.base, self.eps, t)
-
-    def envelope(self, t):
-        """The Moreau envelope A_eps(t) alone."""
-        return self.prox(t)[1]
 
 
 def moreau_yosida(nl, eps, tau=0.0):

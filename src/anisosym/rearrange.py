@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import CellGrid, SliceStack, symmetrized_grid
+from .grids import CellGrid, SliceStack
 
 
 @dataclass(eq=False)
@@ -57,10 +57,8 @@ def schwarz_rearrangement(field, target):
     return ScalarField(target, out)
 
 
-def steiner_rearrangement(stack, target=None):
-    """Slice-wise Schwarz rearrangement of a stack onto the ball grid."""
-    if target is None:
-        target = symmetrized_grid(stack.grid)
+def steiner_rearrangement(stack, target):
+    """Slice-wise Schwarz rearrangement of a stack onto the ball grid ``target``."""
     rows = np.zeros((stack.values.shape[0], target.num_cells))
     for j in range(1, stack.values.shape[0] - 1):
         rows[j] = schwarz_rearrangement(ScalarField(stack.grid, stack.values[j]), target).values

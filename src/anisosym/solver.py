@@ -48,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grids import SliceStack, cell_gradients, gradient_functional
+from .grids import SliceStack, cell_gradients
 from .nonlinearity import RegularizedNonlinearity, make_p_laplacian
 
 _ARMIJO = 1e-4
@@ -59,6 +59,10 @@ _LAGGED_MAXITER = 30              # Newton-step CG on kept mode LUs; then they a
 _EPS_PATH = tuple(10.0 ** -k for k in range(2, 13))
 #: Dual-norm tolerance of the intermediate path stages, which skip the polish.
 _STAGE_TOL = 1e-4
+#: Newton iterations a solve may take over all its eps stages.
+_MAX_ITER = 500
+#: Largest radial increase ``solve_symmetrized`` accepts in a solved slice.
+_RADIAL_TOL = 1e-8
 
 
 class SolverError(RuntimeError):
@@ -168,9 +172,10 @@ class _StackFunctional:
     sampling is D z, the gradient D^T(a d) and the x-blocks P @ W
     (``_block_scatter``).  One functional serves a whole solve: the warm
     start and the eps stages reassign ``nl``.  It keeps the last iterate's
-    sample (``_sample``) and the ``_Layout`` of each matrix it assembles: H
-    in natural order (``natural``), H in the order of its LUs
-    (``lu_order``, set by ``_lu_direction``) and the mean x-block.
+    sample (``_sample``) and the ``_Layout`` of H in natural order
+    (``natural``) and in the order of its LUs (``lu_order``, set by
+    ``_lu_direction``).  The mean x-block takes the scatter's CSC order as
+    it is, with the column pointers ``mean_indptr``.
     """
 
     def __init__(self, grid, nl, f_rows, h):
@@ -186,7 +191,9 @@ class _StackFunctional:
         D = grid.difference_operator()
         self.DT = D.T                                   # a CSC view, for the gradient
         self.P, self.pairs, *self.entry_cells = _block_scatter(D, grid.n, self.m)
-        self._kept = self.natural = self.lu_order = self._mean = None
+        self.mean_indptr = np.zeros(self.m + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.entry_cells[1], minlength=self.m), out=self.mean_indptr[1:])
+        self._kept = self.natural = self.lu_order = None
 
     def _sample(self, z, with_a=False):
         """Sampled gradients d = D z, shape (2^n, n, m, k), |d|, and a(|d|) if asked.
@@ -245,15 +252,14 @@ class _StackFunctional:
     def assemble(self, entries):
         """The CSC Hessian from ``hessian``'s entries, in natural order."""
         if self.natural is None:              # built on first use, from Q as it is then
-            self.natural = _Layout(self, self.k, True)
+            self.natural = _Layout(self)
         return self.natural.gather(entries)
 
     def mean_block(self, entries):
         """The mean of the slice x-blocks in ``hessian``'s entries, CSC."""
-        if self._mean is None:
-            self._mean = _Layout(self, 1, False)
         mean = sum(entries.T[1:], entries[:, 0]) * (1 / self.k)      # summed in slice order
-        return self._mean.gather(mean)
+        return sp.csc_matrix((mean[:-1], self.entry_cells[0], self.mean_indptr),
+                             shape=(self.m, self.m))
 
     def dual_norm(self, g):
         """Max over slices of the mass-preconditioned l2 residual norm."""
@@ -261,8 +267,8 @@ class _StackFunctional:
 
 
 class _Layout:
-    """The CSC pattern of k slice x-blocks, plus the y-coupling when ``coupled``,
-    with rows and columns in order ``q`` (None for the natural order).
+    """The CSC pattern of H, the k slice x-blocks plus the y-coupling, with
+    rows and columns in order ``q`` (None for the natural order).
 
     Entry e is ``take[e]`` of the flat (E + 1, k) block entries that
     ``hessian`` returns (their trailing zero where only the y-coupling
@@ -270,12 +276,12 @@ class _Layout:
     one take and one add per matrix (``gather``).
     """
 
-    def __init__(self, func, k, coupled, q=None):
-        m, size = func.m, k * func.m
+    def __init__(self, func, q=None):
+        k, m, size = func.k, func.m, func.k * func.m
         r, c = func.entry_cells                  # block entry e couples cell r[e] with c[e]
         E = len(r)
         first = np.arange(k, dtype=np.int32)[:, None] * m       # slice j's first row
-        up = np.arange((k - 1) * m if coupled else 0, dtype=np.int32)  # cell (j, i) to (j + 1, i)
+        up = np.arange((k - 1) * m, dtype=np.int32)              # cell (j, i) to (j + 1, i)
         rows = np.concatenate([(r + first).ravel(), up, up + m])
         cols = np.concatenate([(c + first).ravel(), up + m, up])
         if q is not None:
@@ -292,14 +298,13 @@ class _Layout:
         # intp: numpy converts other index types on every take (churning heap pages)
         at = np.arange(E) * k + np.arange(k)[:, None]             # [j, e]: entry e of slice j
         self.take = np.concatenate([at.ravel(), np.full(2 * len(up), E * k)])[order]
-        self.y_at, self.y = np.empty(0, np.intp), 0.0
-        if coupled:                  # at each cell's own entry and the two couplings
-            Y, own = func.mc * func.Q, np.flatnonzero(r == c)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            self.y_at = rank[np.r_[(own + E * np.arange(k)[:, None]).ravel(), k * E:len(order)]]
-            self.y = np.concatenate([np.repeat(Y.diagonal(), len(own)),
-                                     np.repeat(Y.diagonal(1), m), np.repeat(Y.diagonal(-1), m)])
+        # y at each cell's own entry and at the two couplings
+        Y, own = func.mc * func.Q, np.flatnonzero(r == c)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self.y_at = rank[np.r_[(own + E * np.arange(k)[:, None]).ravel(), k * E:len(order)]]
+        self.y = np.concatenate([np.repeat(Y.diagonal(), len(own)),
+                                 np.repeat(Y.diagonal(1), m), np.repeat(Y.diagonal(-1), m)])
         self.q, self.shape = q, (size, size)
 
     def gather(self, entries):
@@ -325,7 +330,7 @@ def _lu_direction(func, entries, rhs):
     """
     if func.lu_order is None:
         lu = spla.splu(func.assemble(entries), permc_spec="MMD_AT_PLUS_A", **_SPD)
-        func.lu_order = _Layout(func, func.k, True, np.argsort(lu.perm_c))
+        func.lu_order = _Layout(func, np.argsort(lu.perm_c))
         return lu.solve(rhs)
     q = func.lu_order.q
     lu = spla.splu(func.lu_order.gather(entries), permc_spec="NATURAL", **_SPD)
@@ -554,7 +559,7 @@ def _eps_path(nl):
     return [nl.with_eps(e) for e in _EPS_PATH if e > nl.eps]
 
 
-def _solve(func, tol, max_iter, counters):
+def _solve(func, tol, counters):
     """Minimize ``func`` along its eps path; returns (z, info).
 
     Each stage sets ``func.nl``.  Intermediate stages stop at ``_STAGE_TOL``
@@ -571,14 +576,14 @@ def _solve(func, tol, max_iter, counters):
         if z is None:
             z = _warm_start(func, counters)
         z, info = _minimize(func, z, tol if last else _STAGE_TOL,
-                            max_iter - sum(it for _, it in stages), counters, polish=last)
+                            _MAX_ITER - sum(it for _, it in stages), counters, polish=last)
         stages.append((getattr(law, "eps", None), info["iterations"]))
     info["iterations"] = sum(it for _, it in stages)
     info["eps_stages"] = tuple(stages)
     return z, info
 
 
-def solve_stack(prob, tol=1e-9, max_iter=500):
+def solve_stack(prob, tol=1e-9):
     """Minimize J; the returned stack is nonnegative up to solver precision.
 
     ``energies`` are those of the last eps stage; ``iterations`` counts
@@ -587,7 +592,7 @@ def solve_stack(prob, tol=1e-9, max_iter=500):
     _require_smooth(prob.nl)
     func = _StackFunctional(prob.grid, prob.nl, prob.f.interior, prob.h)
     counters = {"cg_iterations": 0, "fallbacks": 0, "factorizations": 0}
-    z, info = _solve(func, tol, max_iter, counters)
+    z, info = _solve(func, tol, counters)
     vals = np.zeros((prob.num_interior + 2, prob.grid.num_cells))
     vals[1:-1] = z
     return DiscreteSolution(prob, SliceStack(prob.grid, vals), info["energy"],
@@ -620,12 +625,12 @@ def radial_order_violation(grid, values):
     return worst
 
 
-def solve_symmetrized(prob, tol=1e-9, max_iter=500, radial_tol=1e-8):
+def solve_symmetrized(prob, tol=1e-9):
     """Solve on a ball grid with rearranged data; check radial monotonicity.
 
     The solution slices of the symmetrized problem coincide with their own
     Schwarz rearrangement in the continuum, so each solved slice must be
-    radially non-increasing; a violation beyond ``radial_tol`` flags a
+    radially non-increasing; a violation beyond ``_RADIAL_TOL`` flags a
     discretization that is too coarse.
     """
     if prob.grid.kind not in ("interval", "disk"):
@@ -637,72 +642,11 @@ def solve_symmetrized(prob, tol=1e-9, max_iter=500, radial_tol=1e-8):
         bad = radial_order_violation(prob.grid, prob.f.values[j])
         if bad > 1e-10 * max(1.0, np.abs(prob.f.values[j]).max()):
             raise ValueError("data slices must be Schwarz rearrangements")
-    sol = solve_stack(prob, tol, max_iter)
+    sol = solve_stack(prob, tol)
     for j in range(1, sol.stack.values.shape[0] - 1):
         bad = radial_order_violation(prob.grid, sol.stack.values[j])
-        if bad > radial_tol:
+        if bad > _RADIAL_TOL:
             raise SolverError(
                 f"slice {j} violates radial monotonicity by {bad:.3e} "
-                f"(tolerance {radial_tol:.1e}); refine the grid")
+                f"(tolerance {_RADIAL_TOL:.1e}); refine the grid")
     return sol
-
-
-class YInterpolant:
-    """Piecewise-linear-in-y sampler of a solved stack; exact at y = j*h."""
-
-    def __init__(self, stack):
-        self.stack = stack
-        self.h = stack.h
-        self.nodes = np.arange(stack.values.shape[0]) * stack.h
-
-    def __call__(self, y):
-        y = float(y)
-        if y < 0.0 or y > 1.0:
-            raise ValueError("y must lie in [0, 1]")
-        j = min(int(np.floor(y / self.h)), self.stack.values.shape[0] - 2)
-        theta = (y - j * self.h) / self.h
-        return (1.0 - theta) * self.stack.values[j] + theta * self.stack.values[j + 1]
-
-    def l1_distance(self, other):
-        """Exact L^1(domain x (0,1)) distance to another interpolant.
-
-        Both stacks must share the cell grid; the integrand is piecewise
-        linear in y on the merged slab subdivision, so each segment
-        integrates in closed form (splitting at sign changes).
-        """
-        if other.stack.grid is not self.stack.grid:
-            raise ValueError("interpolants must share the cell grid")
-        cuts = np.union1d(self.nodes, other.nodes)
-        total = 0.0
-        for y0, y1 in zip(cuts[:-1], cuts[1:]):
-            d0 = self(y0) - other(y0)
-            d1 = self(y1) - other(y1)
-            same = d0 * d1 >= 0.0
-            seg = np.where(same, 0.5 * (np.abs(d0) + np.abs(d1)),
-                           0.5 * (d0 ** 2 + d1 ** 2) / np.maximum(np.abs(d0) + np.abs(d1), 1e-300))
-            total += (y1 - y0) * float(seg.sum())
-        return total * self.stack.grid.cell_measure
-
-    def h1_norm_sq(self):
-        """Discrete H^1 seminorm squared of the interpolated field.
-
-        The x-gradient energy is quadratic in y on each slab (Simpson is
-        exact); the y-derivative is constant per slab.
-        """
-        grid = self.stack.grid
-        vals = self.stack.values
-        sq = lambda t: t ** 2
-        total = 0.0
-        for j in range(vals.shape[0] - 1):
-            e0 = gradient_functional(grid, vals[j], sq)
-            e1 = gradient_functional(grid, vals[j + 1], sq)
-            em = gradient_functional(grid, 0.5 * (vals[j] + vals[j + 1]), sq)
-            total += self.h / 6.0 * (e0 + 4.0 * em + e1)
-            dy = (vals[j + 1] - vals[j]) / self.h
-            total += self.h * float((dy ** 2).sum()) * grid.cell_measure
-        return total
-
-
-def y_interpolant(sol):
-    """Sampler u^h(x, y), linear in y between the solved slices."""
-    return YInterpolant(sol.stack if isinstance(sol, DiscreteSolution) else sol)

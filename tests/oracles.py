@@ -7,10 +7,12 @@ contraction of rearrangement, the exact C^t C = D2 factorization of the
 second-difference matrix, the monotonicity of the flux beta(|g|) g/|g|,
 the np.interp / searchsorted reading of a beta table, the slice
 functional without its y-coupling, one-sided gradients by a loop over
-orientations and axes, slice x-blocks decoded from their entries and
-summed densely from the difference stencils, dense Gaussian
-mollification, and the mass-system sweep with cold-started resolvents.
-Nothing in the pipeline calls them.
+orientations and axes, orientation-averaged gradient functionals, slice
+x-blocks decoded from their entries and summed densely from the
+difference stencils, dense Gaussian mollification, the mass-system sweep
+with cold-started resolvents, and a stack's y-linear interpolant sampled
+at one height, with its L^1 distances and H^1 seminorm summed slab by
+slab.  Nothing in the pipeline calls them.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
-from anisosym import SliceStack, gradient_functional, symmetrized_grid
+from anisosym import SliceStack, cell_gradients, symmetrized_grid
 from anisosym.mass_ode import _mass_residual, _newton_correction
 from anisosym.nonlinearity import TINY_T
 
@@ -155,6 +157,58 @@ def polya_szego_gap(field, nl, target=None):
     e_u = gradient_functional(field.grid, field.values, nl.A)
     e_s = gradient_functional(target, star, nl.A)
     return e_u, e_s, e_u - e_s
+
+
+def gradient_functional(grid, values, func):
+    """Integral of func(|grad u|) over the domain, orientation-averaged."""
+    g = cell_gradients(grid, values)
+    mags = np.sqrt((g ** 2).sum(axis=-1))
+    return float(grid.cell_measure * func(mags).mean(axis=0).sum())
+
+
+def y_sample(stack, y):
+    """The stack's interpolant, linear in y between its slices, at height y."""
+    j = min(int(np.floor(y / stack.h)), stack.values.shape[0] - 2)
+    theta = (y - j * stack.h) / stack.h
+    return (1.0 - theta) * stack.values[j] + theta * stack.values[j + 1]
+
+
+def interpolant_l1_distance(a, b):
+    """Exact L^1(domain x (0,1)) distance of two stacks' y-linear interpolants.
+
+    The integrand is piecewise linear in y on the merged slab subdivision,
+    so each slab integrates in closed form (splitting at sign changes).
+    """
+    nodes = lambda st: np.arange(st.values.shape[0]) * st.h
+    cuts = np.union1d(nodes(a), nodes(b))
+    total = 0.0
+    for y0, y1 in zip(cuts[:-1], cuts[1:]):
+        d0 = y_sample(a, y0) - y_sample(b, y0)
+        d1 = y_sample(a, y1) - y_sample(b, y1)
+        same = d0 * d1 >= 0.0
+        seg = np.where(same, 0.5 * (np.abs(d0) + np.abs(d1)),
+                       0.5 * (d0 ** 2 + d1 ** 2) / np.maximum(np.abs(d0) + np.abs(d1), 1e-300))
+        total += (y1 - y0) * float(seg.sum())
+    return total * a.grid.cell_measure
+
+
+def interpolant_h1_norm_sq(stack):
+    """H^1 seminorm squared of a stack's y-linear interpolant, slab by slab.
+
+    The x-gradient energy is quadratic in y on each slab (Simpson is
+    exact); the y-derivative is constant per slab.
+    """
+    grid, vals, h = stack.grid, stack.values, stack.h
+    sq = lambda t: t ** 2
+    total = 0.0
+    for j in range(vals.shape[0] - 1):
+        e0 = gradient_functional(grid, vals[j], sq)
+        e1 = gradient_functional(grid, vals[j + 1], sq)
+        em = gradient_functional(grid, 0.5 * (vals[j] + vals[j + 1]), sq)
+        total += h / 6.0 * (e0 + 4.0 * em + e1)
+        dy = (vals[j + 1] - vals[j]) / h
+        total += h * float((dy ** 2).sum()) * grid.cell_measure
+    return total
 
 
 def second_difference_matrix(N):

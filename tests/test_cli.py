@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from anisosym import (epsilon_tau_sweep, h_refinement_study, make_interval_grid,
                       make_p_laplacian, verify_mass_comparison)
 from anisosym.cli import main
-from anisosym.config import ConfigError, compile_expression, parse_config
+from anisosym.config import _SCHEMA, ConfigError, compile_expression, parse_config
 
 GOOD = """
 # minimal comparison setup
@@ -36,7 +37,7 @@ def test_parse_minimal_config():
     cfg = parse_config(GOOD)
     assert cfg["nl.p"] == 3.0
     assert cfg["omega1.resolution"] == 48
-    assert cfg["radial_tol"] == 1e-8         # default fills in
+    assert cfg["trials"] == 1000             # default fills in
     grid = cfg.build_grid()
     assert grid.num_cells == 48
     nl = cfg.build_nonlinearity()
@@ -80,6 +81,28 @@ def test_max_iter_is_not_a_key():
     (line, msg), = err.value.errors
     assert "unknown key 'max_iter'" in msg
     assert bad.splitlines()[line - 1].strip() == "max_iter = 500"
+
+
+def test_radial_tol_is_not_a_key():
+    bad = GOOD.replace("slack_c = 10", "slack_c = 10\nradial_tol = 1e-8")
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad)
+    (line, msg), = err.value.errors
+    assert "unknown key 'radial_tol'" in msg
+    assert bad.splitlines()[line - 1].strip() == "radial_tol = 1e-8"
+
+
+def test_readme_config_table_names_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    keys, section = set(), None
+    for row in table.splitlines():
+        cells = [c.strip() for c in row.strip().strip("|").split("|")]
+        if len(cells) < 3 or "`" not in cells[1]:
+            continue
+        section = cells[0] or section
+        keys |= {(section, key) for key in re.findall(r"`([^`]+)`", cells[1])}
+    assert keys == set(_SCHEMA)
 
 
 def test_coarse_disk_is_config_error(tmp_path, capsys):
@@ -238,6 +261,20 @@ def test_sweep_rejects_empty_or_fractional_values(tmp_path, capsys, param, value
     assert capsys.readouterr().err.startswith("config error line 0: --values")
 
 
+@pytest.mark.parametrize("param, value, expected", [("eps", "-1e-3", "> 0"),
+                                                    ("tau", "-1", ">= 0")])
+def test_sweep_rejects_values_outside_the_key_range(tmp_path, capsys, param, value, expected):
+    # As regularization.eps and .tau in the config: no point runs, no sweep.json.
+    cfg = _write_config(tmp_path, GOOD)
+    out = tmp_path / "bad"
+    code = main(["--out", str(out), "sweep", "--config", cfg, "--param", param,
+                 f"--values={value}"])
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error line 0: --values for {param} out of range")
+    assert err.rstrip().endswith(expected)
+
+
 def test_sweeps_reject_empty_lists():
     grid = make_interval_grid(1.0, 8)
     f_fn = lambda c, y: np.ones(c.shape[0])
@@ -282,10 +319,11 @@ def test_f_csv_missing_cell_is_a_stage_failure(tmp_path, capsys):
                         "f.csv = data.csv")
     text = text.replace("omega1.resolution = 48", "omega1.resolution = 8")
     cfg = _write_config(tmp_path, text.replace("slices.N = 5", "slices.N = 3"))
-    for command in ("solve", "compare"):
+    for command in ("solve", "compare", "star-check"):
         assert main(["--out", str(tmp_path / command), command, "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert "f.csv does not cover cell 0 of slice 1 on this grid" in err
+        assert err == ("stage failure [data]: f.csv does not cover cell 0 of slice 1 "
+                       "on this grid\n")
 
 
 # One small problem that sets every key the subcommands could drop.

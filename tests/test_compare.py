@@ -7,7 +7,10 @@ from anisosym import (MassOperator, epsilon_tau_sweep, make_disk_grid,
                       mass_functions_from_stack, moreau_yosida, mollify_stack,
                       sample_slices, steiner_rearrangement, subsolution_slack,
                       verify_lq_consequence, verify_mass_comparison)
-from oracles import dense_mollify, zero_stack
+from anisosym import compare
+from anisosym.nonlinearity import _prox
+from oracles import (dense_mollify, interpolant_h1_norm_sq, interpolant_l1_distance,
+                     zero_stack)
 
 
 def bump(c, y):
@@ -151,9 +154,9 @@ def test_epsilon_tau_sweep_quadratic_base_closed_form():
                             eps_list=(1e-2, 1e-3), tau_list=(1e-4,), N=3, M=24)
     assert rep.passed
     for eps in (1e-2, 1e-3):
-        reg = moreau_yosida(make_p_laplacian(2), eps, 1e-4)
         ts = np.linspace(0, 3, 20)
-        assert np.allclose(reg.envelope(ts), ts ** 2 / (1 + 2 * eps), rtol=1e-8, atol=1e-12)
+        assert np.allclose(_prox(make_p_laplacian(2), eps, ts)[1], ts ** 2 / (1 + 2 * eps),
+                           rtol=1e-8, atol=1e-12)
 
 
 def test_sweep_records_failures_without_raising():
@@ -176,6 +179,24 @@ def test_h_refinement_self_convergence():
     assert diffs[1] < diffs[0]
     h1 = [pt["h1_norm"] for pt in rep.points]
     assert max(h1) <= 2.0 * min(h1)
+
+
+@pytest.mark.parametrize("grid", [make_interval_grid(1.0, 24), make_square_grid(1.0, 10),
+                                  make_disk_grid(1.0, 12)], ids=["interval", "square", "disk"])
+def test_interpolant_measures_match_the_slab_loop(grid):
+    # N = 3 against N = 7: the merged subdivision holds the slabs of both
+    # stacks, and the random differences change sign inside slabs.
+    rng = np.random.default_rng(37)
+    a, b = zero_stack(grid, 3), zero_stack(grid, 7)
+    a.values[1:-1] = rng.uniform(0.0, 1.0, (3, grid.num_cells))
+    b.values[1:-1] = rng.uniform(0.0, 1.0, (7, grid.num_cells))
+    assert np.any((a.values[1] - b.values[2]) * (a.values[2] - b.values[4]) < 0.0)
+    for x, y in ((a, b), (b, a)):
+        ref = interpolant_l1_distance(x, y)
+        assert compare._l1_distance(x, y) == pytest.approx(ref, rel=1e-14, abs=0.0)
+    for st in (a, b):
+        ref = interpolant_h1_norm_sq(st)
+        assert compare._h1_norm_sq(st) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_h_refinement_requires_increasing_N():

@@ -117,7 +117,7 @@ def test_resolvent_order_preserving_and_nonexpansive(law):
     for lam in (0.05, 1.0):
         for _ in range(25):
             G1 = random_mass_functions(op, 1, rng)[0]
-            G2 = G1 + random_mass_functions(op, 1, rng, scale=0.5)[0]
+            G2 = G1 + 0.5 * random_mass_functions(op, 1, rng)[0]
             U1 = op.resolvent(lam, G1)
             U2 = op.resolvent(lam, G2)
             assert np.min(U2 - U1) >= -1e-8          # order preservation

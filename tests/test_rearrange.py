@@ -8,7 +8,7 @@ from anisosym import (ScalarField, make_ball_grid, make_disk_grid,
                       make_interval_grid, make_p_laplacian, make_radial_grid,
                       make_square_grid, mass_functions_from_stack,
                       perimeter_factor, schwarz_rearrangement,
-                      steiner_rearrangement)
+                      steiner_rearrangement, symmetrized_grid)
 from oracles import (StepData, distribution_function, hardy_littlewood_gap,
                      l1_field_distance, l1_profile_distance, polya_szego_gap,
                      zero_stack)
@@ -203,7 +203,7 @@ def test_steiner_rearranges_slice_wise():
     grid = make_interval_grid(1.0, 24)
     stack = zero_stack(grid, 4)
     stack.values[1:-1] = rng.uniform(0, 1, (4, 24))
-    star = steiner_rearrangement(stack)
+    star = steiner_rearrangement(stack, symmetrized_grid(grid))
     assert star.grid.kind == "interval"
     for j in range(1, 5):
         for q in (1, 2):
@@ -211,7 +211,7 @@ def test_steiner_rearranges_slice_wise():
                 np.sum(stack.values[j] ** q), rel=1e-12)
     const = zero_stack(grid, 3)
     const.values[1:-1] = 1.0
-    out = steiner_rearrangement(const)
+    out = steiner_rearrangement(const, symmetrized_grid(grid))
     assert np.allclose(out.values[1:-1], 1.0)
 
 

@@ -10,10 +10,10 @@ from anisosym import (DiscreteProblem, make_ball_grid, make_disk_grid,
                       make_interval_grid, make_p_laplacian, make_square_grid,
                       moreau_yosida, sample_slices, shifted_p, solve_stack,
                       radial_order_violation, solve_symmetrized, steiner_rearrangement,
-                      verify_mass_comparison, y_interpolant)
-from anisosym import solver
+                      verify_mass_comparison)
+from anisosym import compare, solver
 from anisosym.grids import SliceStack
-from oracles import dense_x_blocks, entry_blocks, uncoupled, zero_stack
+from oracles import dense_x_blocks, entry_blocks, uncoupled, y_sample, zero_stack
 
 
 def problem_functional(prob):
@@ -110,10 +110,10 @@ def test_separable_oracle_and_convergence_rate():
         g = make_interval_grid(1.0, m)
         f = sample_slices(g, N, separable_data)
         sol = solve_stack(DiscreteProblem(g, make_p_laplacian(2), f))
-        it = y_interpolant(sol)
         worst = 0.0
         for y in np.linspace(0, 1, 4 * (N + 1) + 1):
-            worst = max(worst, float(np.abs(it(y) - separable_exact(g.centers[:, 0], y)).max()))
+            worst = max(worst, float(np.abs(y_sample(sol.stack, y)
+                                            - separable_exact(g.centers[:, 0], y)).max()))
         errs.append(worst)
     rate = np.log2(errs[0] / errs[1])
     assert errs[1] < 3e-3
@@ -217,14 +217,11 @@ def test_interpolant_nodes_and_midpoints():
     st = zero_stack(g, 3)
     rng = np.random.default_rng(4)
     st.values[1:-1] = rng.uniform(0, 1, (3, 8))
-    it = y_interpolant(st)
     h = st.h
     for j in range(5):
-        assert np.allclose(it(j * h), st.values[j])
-    mid = it(1.5 * h)
+        assert np.allclose(y_sample(st, j * h), st.values[j])
+    mid = y_sample(st, 1.5 * h)
     assert np.allclose(mid, 0.5 * (st.values[1] + st.values[2]))
-    with pytest.raises(ValueError):
-        it(1.2)
 
 
 def test_interpolant_reproduces_linear_stacks():
@@ -241,12 +238,11 @@ def test_interpolant_reproduces_linear_stacks():
         vals[j] = j * slope
     vals[N + 1] = 0.0
     st = SliceStack(g, vals)
-    it = y_interpolant(st)
     h = st.h
     for y in (0.3 * h, 1.7 * h, 2.25 * h):
         j = int(y / h)
         expect = (vals[j] * (1 - (y / h - j)) + vals[j + 1] * (y / h - j))
-        assert np.allclose(it(y), expect)
+        assert np.allclose(y_sample(st, y), expect)
 
 
 def test_interpolant_l1_distance_exact():
@@ -254,9 +250,8 @@ def test_interpolant_l1_distance_exact():
     a = zero_stack(g, 1)
     a.values[1] = 1.0                        # hat in y with peak 1 at y = 1/2
     b = zero_stack(g, 1)
-    it_a, it_b = y_interpolant(a), y_interpolant(b)
     # integral over y of the hat is 1/2, times |domain| = 1
-    assert it_a.l1_distance(it_b) == pytest.approx(0.5)
+    assert compare._l1_distance(a, b) == pytest.approx(0.5)
 
 
 def test_h1_norm_of_hat_stack():
@@ -265,9 +260,10 @@ def test_h1_norm_of_hat_stack():
     a.values[1] = np.sin(np.pi * g.centers[:, 0])
     # u^h = sin(pi x) * hat(y): int |d_y u|^2 = int sin^2 * int hat'^2 = 1/2 * 4;
     # int |d_x u|^2 = pi^2/2 * int hat^2 = pi^2/2 * 1/3
-    h1 = y_interpolant(a).h1_norm_sq()
+    h1 = compare._h1_norm_sq(a)
     expect = 2.0 + np.pi ** 2 / 6.0
     assert h1 == pytest.approx(expect, rel=0.01)
+
 
 
 def test_solution_energy_not_above_zero_stack():
@@ -744,7 +740,7 @@ def test_hessian_gather_is_bitwise_the_permuted_sum(kind):
     assert mean.has_sorted_indices and np.array_equal(mean.toarray(), mean_ref.toarray())
     lu = spla.splu(H, permc_spec="MMD_AT_PLUS_A", **solver._SPD)
     for q in (np.argsort(lu.perm_c), rng.permutation(k * func.m)):
-        P = solver._Layout(func, k, True, q).gather(entries)
+        P = solver._Layout(func, q).gather(entries)
         assert P.has_sorted_indices and np.array_equal(P.toarray(), ref[q][:, q].toarray())
 
 
@@ -767,13 +763,13 @@ def test_x_blocks_are_the_dense_difference_sum(kind, p):
 
 
 def recorded_layouts(monkeypatch):
-    """Spy on solver._Layout: (k, coupled, in an LU order) of every layout built."""
+    """Spy on solver._Layout: (k, in an LU order) of every layout built."""
     real, built = solver._Layout, []
 
     class Spy(real):
-        def __init__(self, func, k, coupled, q=None):
-            built.append((k, coupled, q is not None))
-            super().__init__(func, k, coupled, q)
+        def __init__(self, func, q=None):
+            built.append((func.k, q is not None))
+            super().__init__(func, q)
 
     monkeypatch.setattr(solver, "_Layout", Spy)
     return built
@@ -787,11 +783,11 @@ def test_each_layout_is_built_once_per_solve(monkeypatch):
     f = sample_slices(g, 5, lambda c, y: np.exp(-20 * (c[:, 0] - 0.4) ** 2) * (1 + y))
     sol = solve_stack(DiscreteProblem(g, moreau_yosida(make_p_laplacian(1.5), 1e-6, 1e-6), f))
     assert len(sol.eps_stages) > 2 and sol.factorizations > 2
-    assert built == [(5, True, False), (5, True, True)]
+    assert built == [(5, False), (5, True)]
     del built[:]
     sol = solve_stack(disk_problem(1.5))            # 2-D, with eps stages and mode LUs
     assert len(sol.eps_stages) > 2 and sol.fallbacks == 0
-    assert built == [(5, True, False), (1, False, False)]
+    assert built == [(5, False)]
 
 
 @pytest.mark.parametrize("grid", [make_interval_grid(2.0, 16, centered=True),
